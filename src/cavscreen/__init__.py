@@ -12,7 +12,6 @@ from .costs import (
     PosteriorSeparable,
     Potential,
     distribution_cost,
-    experiment_cost,
     neg_entropy,
     potential_by_name,
     quadratic,
@@ -67,13 +66,10 @@ from .screening import (
     binary_rejection_measure,
     construct_screening_contract,
     design_binary_contract,
-    equalizer_strategy,
     prop2_contract,
     rejection_measure_mc,
     screens,
-    seu_uninformed_value,
     uninformed_maximin,
-    urn_uninformed_maximin,
     xi_screen_search,
 )
 from .simplex import (
@@ -86,7 +82,6 @@ from .simplex import (
     belief2,
     degenerate,
     min_prob,
-    simplex_grid,
     simplex_grid_array,
     uniform_belief,
 )
@@ -98,14 +93,7 @@ from .traces import (
     write_csv,
     write_svg,
 )
-from .values import (
-    SimpleAnnouncement,
-    UrnDraw,
-    ValueFunction,
-    announce,
-    as_value_function,
-    gross_value,
-)
+from .values import DecisionProblem, SimpleAnnouncement, UrnDraw
 
 __version__ = "0.1.0"
 

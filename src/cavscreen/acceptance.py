@@ -30,7 +30,7 @@ from .screening import (
 )
 from .simplex import Belief, Contract, GeneralizedContract, belief2, simplex_grid_array
 from .traces import binary_figure_traces
-from .values import SimpleAnnouncement, UrnDraw, gross_value
+from .values import SimpleAnnouncement, UrnDraw
 
 
 class CriterionResult(NamedTuple):
@@ -71,18 +71,17 @@ def _run(name: str, body: Callable[[], tuple[bool, str]], budget: float) -> Crit
 def criterion_worked_example() -> CriterionResult:
     def body():
         menu = worked_menu()
-        contract = worked_contract()
-        value = SimpleAnnouncement(contract)
+        game = SimpleAnnouncement(worked_contract())
         bad = []
         for mu in (0.35, 0.45, 0.5, 0.55, 0.65):
-            got = informed_value(menu, value, belief2(mu)).value
+            got = informed_value(menu, game, belief2(mu)).value
             if abs(got - 50.0) > 1e-9:
                 bad.append(f"learning value at {mu} = {got!r}")
         for mu in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.9):
-            got = gross_value(contract, belief2(mu))
+            got = game.value(belief2(mu))
             if got < 50.0 - 1e-9:
                 bad.append(f"stay-put value at {mu:.4g} = {got!r}")
-        outside = uninformed_maximin(contract, 2).value
+        outside = uninformed_maximin(game, 2).value
         if abs(outside - (-50.0)) > 1e-9:
             bad.append(f"uninformed maximin = {outside!r}")
         if bad:
@@ -102,12 +101,12 @@ def criterion_acceptance_threshold() -> CriterionResult:
             menu = FixedMenu(())
             for delta in (-0.01, 0.0, 0.01):
                 u = d * (1.0 / n + delta)
-                contract = Contract(u, d)
-                net = informed_value_sweep(menu, SimpleAnnouncement(contract), grid)
+                game = SimpleAnnouncement(Contract(u, d))
+                net = informed_value_sweep(menu, game, grid)
                 accepts_all = bool(net.min() >= -1e-6)
                 if accepts_all != (delta >= 0.0):
                     bad.append(f"n={n} delta={delta:+g}: accepts_all={accepts_all}")
-                outside = uninformed_maximin(contract, n).value
+                outside = uninformed_maximin(game, n).value
                 if outside != u - d / n:
                     bad.append(f"n={n} delta={delta:+g}: maximin {outside!r}")
         if bad:
@@ -313,7 +312,7 @@ def criterion_maximin_closed_form() -> CriterionResult:
             n = int(rng.integers(2, 7))
             d = rng.uniform(0.2, 8.0, size=n)
             u = float(rng.uniform(0.1, 5.0))
-            closed = uninformed_maximin(GeneralizedContract(u, d)).value
+            closed = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(u, d))).value
             payoffs = u - np.diag(d)
             lp = lp_maximin(payoffs).value
             worst = max(worst, abs(closed - lp))

@@ -14,7 +14,16 @@ import sys
 import numpy as np
 
 from . import acceptance as acceptance_mod
-from .config import belief_from, contract_from, cost_model_from, load_config
+from .config import (
+    assumption_from,
+    ball_from,
+    belief_from,
+    choice_from,
+    contract_from,
+    cost_model_from,
+    load_config,
+    states_from,
+)
 from .costs import PosteriorSeparable, neg_entropy
 from .errors import (
     AssumptionViolated,
@@ -24,17 +33,18 @@ from .errors import (
     NoFeasibleU,
     SearchExhausted,
 )
-from .informed import default_resolution, informed_value
+from .informed import informed_value
 from .screening import (
+    UNINFORMED,
+    VARIANTS,
     construct_screening_contract,
     design_binary_contract,
     prop2_contract,
     screens,
-    seu_uninformed_value,
     uninformed_maximin,
     xi_screen_search,
 )
-from .simplex import ball_grid, belief2
+from .simplex import belief2
 from .traces import (
     binary_figure_traces,
     figure_table,
@@ -42,7 +52,7 @@ from .traces import (
     write_csv,
     write_svg,
 )
-from .values import SimpleAnnouncement, gross_value
+from .values import SimpleAnnouncement
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -85,12 +95,12 @@ def _load(args) -> dict:
 def _cmd_example_one(args) -> int:
     menu = acceptance_mod.worked_menu()
     contract = acceptance_mod.worked_contract()
-    value = SimpleAnnouncement(contract)
+    game = SimpleAnnouncement(contract)
     ok = True
     rows = []
     for mu in (0.35, 0.45, 0.5, 0.55, 0.65):
-        got = informed_value(menu, value, belief2(mu))
-        rows.append((mu, gross_value(contract, belief2(mu)), got.value))
+        got = informed_value(menu, game, belief2(mu))
+        rows.append((mu, game.value(belief2(mu)), got.value))
         flag = abs(got.value - 50.0) <= 1e-9
         ok &= flag
         print(
@@ -98,8 +108,8 @@ def _cmd_example_one(args) -> int:
             f"(learning pays) {'ok' if flag else 'MISMATCH: expected 50'}"
         )
     for mu in (0.1, 0.25, 1.0 / 3.0, 2.0 / 3.0, 0.9):
-        stay = gross_value(contract, belief2(mu))
-        got = informed_value(menu, value, belief2(mu))
+        stay = game.value(belief2(mu))
+        got = informed_value(menu, game, belief2(mu))
         rows.append((mu, stay, got.value))
         want = contract.u - contract.d * min(mu, 1.0 - mu)
         flag = abs(got.value - want) <= 1e-9
@@ -108,7 +118,7 @@ def _cmd_example_one(args) -> int:
             f"prior {mu:4.2f}: stay-put {got.value:10.4f}  "
             f"{'ok' if flag else f'MISMATCH: expected {want:g}'}"
         )
-    outside = uninformed_maximin(contract, 2).value
+    outside = uninformed_maximin(game, 2).value
     flag = abs(outside - (-50.0)) <= 1e-9
     ok &= flag
     print(f"uninformed maximin: {outside:.4f} {'ok' if flag else 'MISMATCH'}")
@@ -172,20 +182,14 @@ def _cmd_screen(args) -> int:
     model = cost_model_from(cfg)
     contract = None if cfg.get("contract") == "search" else contract_from(cfg)
     rho = belief_from(cfg["rho"], "rho") if "rho" in cfg else None
-    kind = cfg.get("uninformed", "maximin")
-    variant = cfg.get("variant", "simple")
-    n = cfg.get("n")
+    kind = choice_from(cfg, "uninformed", UNINFORMED, "maximin")
+    variant = choice_from(cfg, "variant", VARIANTS, "simple")
+    n = states_from(cfg)
     resolution = args.grid or cfg.get("resolution")
     if contract is None:
-        assumption = None
-        if "assumption" in cfg:
-            a = cfg["assumption"]
-            assumption = (
-                float(a["epsilon"]), float(a["eta"]), float(a["T"])
-            )
         built = construct_screening_contract(
             model,
-            assumption,
+            assumption_from(cfg),
             center=rho,
             eta=float(cfg.get("eta", 0.1)),
             margin=float(cfg.get("margin", 0.05)),
@@ -200,18 +204,10 @@ def _cmd_screen(args) -> int:
         )
         report = built.report
     else:
-        grid = None
-        if "ball" in cfg:
-            section = cfg["ball"]
-            center = belief_from(section.get("center"), "ball.center")
-            grid = ball_grid(
-                center,
-                float(section.get("eta", 0.1)),
-                resolution or default_resolution(center.n),
-                norm=section.get("norm", "euclidean"),
-            )
+        if kind == "seu" and rho is None:
+            raise ConfigError("uninformed: seu needs rho, the uninformed belief")
         report = screens(
-            model, contract, n, grid=grid, resolution=resolution,
+            model, contract, n, grid=ball_from(cfg, resolution), resolution=resolution,
             uninformed=kind, rho=rho, variant=variant,
         )
     print(report.to_text())
@@ -233,7 +229,7 @@ def _cmd_prop2(args) -> int:
         f"expected fines at rho: {expected[0]:.6g} "
         f"(spread {expected.max() - expected.min():.3g})"
     )
-    print(f"uninformed value at rho: {seu_uninformed_value(contract, rho):.6g}")
+    print(f"uninformed value at rho: {SimpleAnnouncement(contract).value(rho):.6g}")
     if "model" in cfg:
         model = cost_model_from(cfg)
         report = screens(
@@ -255,7 +251,7 @@ def _cmd_xi_screen(args) -> int:
         0.01, neg_entropy()
     )
     xi = float(cfg.get("xi", 0.1))
-    n = int(cfg.get("n", 2))
+    n = states_from(cfg) or 2
     found = xi_screen_search(
         model,
         xi,

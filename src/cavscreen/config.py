@@ -13,7 +13,8 @@ import numpy as np
 from .costs import CostModel, FixedMenu, Potential, PosteriorSeparable, potential_by_name
 from .errors import ConfigError
 from .experiments import Experiment
-from .simplex import Belief, Contract, GeneralizedContract
+from .informed import default_resolution
+from .simplex import Belief, Contract, GeneralizedContract, ball_grid
 
 
 def load_config(path: str) -> dict:
@@ -110,3 +111,47 @@ def belief_from(values, where: str = "belief") -> Belief:
         return Belief(values)
     except Exception as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def states_from(cfg: dict) -> int | None:
+    """The optional state count ``n``: an integer of at least 2."""
+    n = cfg.get("n")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 2):
+        raise ConfigError(f"n must be an integer >= 2, got {n!r}")
+    return n
+
+
+def choice_from(cfg: dict, key: str, choices, default: str) -> str:
+    value = cfg.get(key, default)
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def assumption_from(cfg: dict) -> tuple[float, float, float] | None:
+    """The optional (epsilon, eta, T) triple of the ``assumption`` section."""
+    section = cfg.get("assumption")
+    if section is None:
+        return None
+    if not isinstance(section, dict):
+        raise ConfigError("assumption must be a mapping")
+    keys = ("epsilon", "eta", "T")
+    return tuple(_require(section, key, float, "assumption") for key in keys)
+
+
+def ball_from(cfg: dict, resolution: int | None) -> list[Belief] | None:
+    """Lattice priors of the optional ``ball`` section around its center."""
+    section = cfg.get("ball")
+    if section is None:
+        return None
+    if not isinstance(section, dict):
+        raise ConfigError("ball must be a mapping")
+    center = belief_from(section.get("center"), "ball.center")
+    eta = _require(section, "eta", float, "ball") if "eta" in section else 0.1
+    try:
+        return ball_grid(
+            center, eta, resolution or default_resolution(center.n),
+            norm=section.get("norm", "euclidean"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"ball: {exc}") from exc

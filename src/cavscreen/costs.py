@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfinitePotential
-from .experiments import Experiment, induced_posterior_distribution
+from .experiments import Experiment
 from .simplex import Belief, PosteriorDistribution
 
 
@@ -75,10 +75,6 @@ class FixedMenu:
                 raise ValueError(f"menu price must be >= 0, got {price}")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def kind(self) -> str:
-        return "fixed-menu"
-
 
 @dataclass(frozen=True)
 class PosteriorSeparable:
@@ -90,10 +86,6 @@ class PosteriorSeparable:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-
-    @property
-    def kind(self) -> str:
-        return "posterior-separable"
 
 
 CostModel = FixedMenu | PosteriorSeparable
@@ -112,23 +104,3 @@ def distribution_cost(model: PosteriorSeparable, F: PosteriorDistribution) -> fl
             f"potential {model.potential.name!r} is infinite at the prior"
         )
     return model.kappa * float(F.weights @ values) - model.kappa * base
-
-
-def _menu_price(model: FixedMenu, E: Experiment) -> float:
-    for listed, price in model.entries:
-        if listed is E:
-            return price
-        if listed.likelihoods.shape == E.likelihoods.shape and np.allclose(
-            listed.likelihoods, E.likelihoods, atol=1e-12, rtol=0.0
-        ):
-            return price
-    if E.is_uninformative():
-        return 0.0
-    return math.inf
-
-
-def experiment_cost(model: CostModel, E: Experiment, mu: Belief) -> float:
-    """Cost of acquiring E at prior mu; inf means unavailable."""
-    if isinstance(model, FixedMenu):
-        return _menu_price(model, E)
-    return distribution_cost(model, induced_posterior_distribution(E, mu))

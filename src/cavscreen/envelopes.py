@@ -16,7 +16,7 @@ points, and doubles as the independent check on both hull constructions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from .errors import EmptyGrid, InfeasibleBarycenter
@@ -220,43 +220,3 @@ class SimplexEnvelope:
 
     def value(self, mu: Belief) -> float:
         return float(self.values(mu.probs[None, :])[0])
-
-    def split(self, mu: Belief) -> tuple[float, PosteriorDistribution]:
-        """Envelope value at mu plus an optimal plan drawn from the grid points
-        in contact with the supporting facet plane.
-
-        Among the contact points the plan minimizes expected squared distance
-        to mu, so locally concave queries stay degenerate.
-        """
-        free = mu.probs[None, : self.n - 1]
-        planes = (free @ self._alpha.T + self._beta)[0]
-        best = int(planes.argmin())
-        value = float(planes[best])
-        alpha, beta = self._alpha[best], self._beta[best]
-        plane_at_grid = self.points[:, : self.n - 1] @ alpha + beta
-        scale = 1.0 + np.abs(self.fs).max()
-        contact = np.flatnonzero(self.fs >= plane_at_grid - _CONTACT_TOL * scale)
-        pts = self.points[contact]
-        dist2 = ((pts - mu.probs) ** 2).sum(axis=1)
-        if dist2.min() <= _WEIGHT_TOL:
-            j = contact[int(dist2.argmin())]
-            return float(self.fs[j]), PosteriorDistribution(
-                (Belief(self.points[j]),), np.array([1.0]), mu
-            )
-        A_eq = np.vstack([pts[:, : self.n - 1].T, np.ones(pts.shape[0])])
-        b_eq = np.append(mu.probs[: self.n - 1], 1.0)
-        res = linprog(dist2, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs")
-        if not res.success:
-            # Numerical contact-set miss: fall back to the full LP.
-            return concavify_lp(self.points, self.fs, mu)
-        weights = res.x
-        # Tighten the barycenter with a least-squares polish on the chosen support.
-        live = weights > _WEIGHT_TOL
-        pts_live = pts[live]
-        stacked = np.vstack([pts_live.T, np.ones(pts_live.shape[0])])
-        target = np.append(mu.probs, 1.0)
-        polished, _ = nnls(stacked, target)
-        if polished.sum() > 0 and np.abs(stacked @ polished - target).max() <= 1e-10:
-            weights = np.zeros_like(weights)
-            weights[np.flatnonzero(live)] = polished
-        return value, _prune_plan(pts, weights, mu)

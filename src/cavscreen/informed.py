@@ -17,7 +17,7 @@ from .costs import CostModel, FixedMenu, distribution_cost
 from .envelopes import Envelope1d, SimplexEnvelope, concavify_1d, concavify_lp
 from .experiments import induced_posterior_distribution
 from .simplex import Belief, PosteriorDistribution, degenerate, simplex_grid_array
-from .values import ValueFunction, as_value_function
+from .values import DecisionProblem
 
 # Largest point count allowed when picking grid resolutions for n >= 4.
 _GRID_BUDGET = 8000
@@ -41,10 +41,6 @@ class InformedResult(NamedTuple):
     cost: float
 
 
-def _expected_gross(value: ValueFunction, plan: PosteriorDistribution) -> float:
-    return float(plan.weights @ value.batch(plan.support_matrix))
-
-
 def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
     grid = simplex_grid_array(mu.n, resolution)
     if not (np.abs(grid - mu.probs).max(axis=1) <= 1e-12).any():
@@ -54,7 +50,7 @@ def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
 
 def informed_value(
     model: CostModel,
-    value: ValueFunction,
+    game: DecisionProblem,
     mu: Belief,
     resolution: int | None = None,
 ) -> InformedResult:
@@ -62,21 +58,20 @@ def informed_value(
     posterior plan that attains it and the learning cost it incurs.
 
     Ties between learning and not learning resolve toward not learning.
-    Bare contracts are read as rule-out games.
     """
-    value = as_value_function(value)
     if isinstance(model, FixedMenu):
-        best = InformedResult(value.value(mu), degenerate(mu), 0.0)
-        for experiment, price in model.entries:
-            plan = induced_posterior_distribution(experiment, mu)
-            net = _expected_gross(value, plan) - price
-            if net > best.value:
-                best = InformedResult(net, plan, price)
-        return best
+        # One row of the sweep; argmax keeps the first best, so ties stay put.
+        net = _menu_candidates(model, game, mu.probs[None, :])[:, 0]
+        best = int(net.argmax())
+        if best == 0:
+            return InformedResult(float(net[0]), degenerate(mu), 0.0)
+        experiment, price = model.entries[best - 1]
+        plan = induced_posterior_distribution(experiment, mu)
+        return InformedResult(float(net[best]), plan, price)
     resolution = resolution or default_resolution(mu.n)
     grid = _grid_with(mu, resolution)
     kappa = model.kappa
-    g = value.batch(grid) - kappa * model.potential.batch(grid)
+    g = game.batch(grid) - kappa * model.potential.batch(grid)
     if mu.n == 2:
         env, plan = concavify_1d(grid[:, 0], g, mu[0])
     else:
@@ -90,7 +85,7 @@ def informed_value(
     return InformedResult(env + kappa * model.potential.value(mu), plan, cost)
 
 
-def _menu_gross_sweep(value: ValueFunction, priors: np.ndarray, experiment) -> np.ndarray:
+def _menu_gross_sweep(game: DecisionProblem, priors: np.ndarray, experiment) -> np.ndarray:
     likelihoods = experiment.likelihoods
     out = np.zeros(priors.shape[0])
     for s in range(likelihoods.shape[1]):
@@ -100,13 +95,24 @@ def _menu_gross_sweep(value: ValueFunction, priors: np.ndarray, experiment) -> n
         if not live.any():
             continue
         posteriors = priors[live] * column / marginal[live, None]
-        out[live] += marginal[live] * value.batch(posteriors)
+        out[live] += marginal[live] * game.batch(posteriors)
     return out
+
+
+def _menu_candidates(
+    model: FixedMenu, game: DecisionProblem, priors: np.ndarray
+) -> np.ndarray:
+    """Net value of each menu choice at each prior, (entries + 1, priors):
+    staying put first, then every listed experiment less its price."""
+    return np.array(
+        [game.batch(priors)]
+        + [_menu_gross_sweep(game, priors, exp) - price for exp, price in model.entries]
+    )
 
 
 def informed_value_sweep(
     model: CostModel,
-    value: ValueFunction,
+    game: DecisionProblem,
     priors,
     resolution: int | None = None,
 ) -> np.ndarray:
@@ -116,20 +122,14 @@ def informed_value_sweep(
     the queried priors and evaluate it in batch; menus score each entry
     against the null in closed form.
     """
-    value = as_value_function(value)
     priors = np.asarray(priors, dtype=float)
     if isinstance(model, FixedMenu):
-        candidates = [value.batch(priors)]
-        candidates += [
-            _menu_gross_sweep(value, priors, exp) - price
-            for exp, price in model.entries
-        ]
-        return np.max(candidates, axis=0)
+        return _menu_candidates(model, game, priors).max(axis=0)
     n = priors.shape[1]
     resolution = resolution or default_resolution(n)
     grid = np.vstack([simplex_grid_array(n, resolution), priors])
     kappa = model.kappa
-    g = value.batch(grid) - kappa * model.potential.batch(grid)
+    g = game.batch(grid) - kappa * model.potential.batch(grid)
     if n == 2:
         env = Envelope1d(grid[:, 0], g).values(priors[:, 0])
     else:

@@ -1,8 +1,10 @@
 """Independent brute-force baselines.
 
 Deliberately naive: exhaustive pair search and a textbook zero-sum LP.  These
-share no code with the fast paths they validate and run only in tests and the
-acceptance suite.
+share no code with the fast paths they validate and otherwise run only in
+tests and the acceptance suite.  The one production use is ``lp_maximin``:
+``uninformed_maximin`` solves it for games whose fine matrix is not diagonal,
+such as the urn, where no closed form is coded.
 """
 
 from __future__ import annotations

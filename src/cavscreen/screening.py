@@ -19,6 +19,7 @@ from .costs import CostModel, FixedMenu, PosteriorSeparable
 from .errors import AssumptionViolated, BoundaryPrior, NoFeasibleU, SearchExhausted
 from .experiments import upsilon
 from .informed import default_resolution, informed_value_sweep
+from .oracle import lp_maximin
 from .simplex import (
     Belief,
     Contract,
@@ -29,7 +30,7 @@ from .simplex import (
     simplex_grid_array,
     uniform_belief,
 )
-from .values import SimpleAnnouncement, UrnDraw, ValueFunction, gross_value
+from .values import DecisionProblem, SimpleAnnouncement, UrnDraw
 
 _Z95 = 1.96
 
@@ -39,49 +40,29 @@ class MaximinResult(NamedTuple):
     strategy: np.ndarray
 
 
-def uninformed_maximin(
-    contract: Contract | GeneralizedContract, n: int | None = None
-) -> MaximinResult:
+def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinResult:
     """Guaranteed value of accepting with no belief and no learning.
 
-    The expert mixes announcements against an adversarial state; equalizing
-    sigma_i proportional to 1/d_i yields u - 1/sum_i(1/d_i), which is exactly
-    u - d/n under a common fine.  Returns the value and the mixture.
+    The expert mixes actions against an adversarial state.  In a rule-out
+    game (diagonal fine matrix) equalizing sigma_i proportional to 1/d_i
+    yields u - 1/sum_i(1/d_i), which is exactly u - d/n under a common fine;
+    any other game solves the zero-sum LP.  Returns the value and the mixture.
     """
-    fines = contract.fines(_states(contract, n))
-    d0 = fines[0]
-    if all(d == d0 for d in fines):
-        value = contract.u - d0 / len(fines)
-    else:
-        value = contract.u - 1.0 / sum(1.0 / d for d in fines)
-    return MaximinResult(value, equalizer_strategy(contract, n))
-
-
-def equalizer_strategy(contract: Contract | GeneralizedContract, n: int | None = None) -> np.ndarray:
-    """Maximin announcement mixture: sigma_i proportional to 1/d_i."""
-    fines = np.asarray(contract.fines(_states(contract, n)), dtype=float)
+    F = game.fines(game.states(n))
+    fines = np.diag(F)
+    if not np.array_equal(F, np.diag(fines)):
+        return MaximinResult(*lp_maximin(game.u - F))
     inv = 1.0 / fines
-    return inv / inv.sum()
+    if (fines == fines[0]).all():
+        value = game.u - fines[0] / len(fines)
+    else:
+        value = game.u - 1.0 / inv.sum()
+    return MaximinResult(value, inv / inv.sum())
 
 
-def seu_uninformed_value(contract: Contract | GeneralizedContract, rho: Belief) -> float:
-    """Value to an uninformed expert who holds belief rho and cannot learn."""
-    return gross_value(contract, rho)
-
-
-def urn_uninformed_maximin(contract: Contract) -> float:
-    """Urn color-calling game: opposite calls guarantee exactly one miss."""
-    return contract.u - 0.5 * contract.d
-
-
-def _states(contract, n: int | None) -> int:
-    if isinstance(contract, GeneralizedContract):
-        if n is not None and n != contract.n:
-            raise ValueError(f"contract fixes n={contract.n}, got n={n}")
-        return contract.n
-    if n is None:
-        raise ValueError("state count required for a common-fine contract")
-    return n
+# Game constructors by ``screens`` variant, and the outside types it prices.
+VARIANTS = {"simple": SimpleAnnouncement, "urn": UrnDraw}
+UNINFORMED = ("maximin", "seu")
 
 
 @dataclass(frozen=True)
@@ -123,22 +104,26 @@ def screens(
     resolution: int | None = None,
     uninformed: str = "maximin",
     rho: Belief | None = None,
-    value: ValueFunction | None = None,
     variant: str = "simple",
 ) -> ScreeningReport:
     """Verify the screening property on a belief grid.
 
     ``uninformed`` picks the outside type: "maximin" for a beliefless expert,
     "seu" for one holding belief ``rho``.  ``grid`` replaces the default
-    simplex lattice with an explicit stack of priors.  ``variant`` switches
-    the informed game: "urn" plays color calls on three states, where the
-    beliefless guarantee is u - d/2 instead of u - d/n.
+    simplex lattice with an explicit stack of priors.  ``variant`` picks the
+    game both types play: "simple" rules out one state, "urn" plays color
+    calls on three states.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
+    if uninformed not in UNINFORMED:
+        raise ValueError(f"unknown uninformed kind: {uninformed!r}")
+    if uninformed == "seu" and rho is None:
+        raise ValueError("seu comparison needs the uninformed belief rho")
+    game = VARIANTS[variant](contract)
     if isinstance(model, FixedMenu) and n is None and model.entries:
         n = model.entries[0][0].n
-    if variant == "urn" and n is None:
-        n = 3
-    n = _states(contract, n)
+    n = game.states(n)
     resolution = resolution or default_resolution(n)
     if grid is None:
         points = simplex_grid_array(n, resolution)
@@ -148,25 +133,12 @@ def screens(
             [mu.probs if isinstance(mu, Belief) else mu for mu in grid], dtype=float
         )
         prior_set = f"custom grid, {len(points)} priors"
-    if variant == "urn":
-        if not isinstance(contract, Contract):
-            raise ValueError("the urn game uses a common-fine contract")
-        value = value or UrnDraw(contract)
-    elif variant != "simple":
-        raise ValueError(f"unknown variant: {variant!r}")
-    net = informed_value_sweep(model, value or SimpleAnnouncement(contract), points)
+    net = informed_value_sweep(model, game, points)
     worst = int(net.argmin())
     if uninformed == "maximin":
-        if variant == "urn":
-            outside = urn_uninformed_maximin(contract)
-        else:
-            outside = uninformed_maximin(contract, n).value
-    elif uninformed == "seu":
-        if rho is None:
-            raise ValueError("seu comparison needs the uninformed belief rho")
-        outside = seu_uninformed_value(contract, rho)
+        outside = uninformed_maximin(game, n).value
     else:
-        raise ValueError(f"unknown uninformed kind: {uninformed!r}")
+        outside = game.value(rho)
     return ScreeningReport(
         contract=contract,
         n=n,
@@ -419,11 +391,10 @@ def rejection_measure_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mass of uninformed beliefs that reject, with a 95%
     normal-approximation half-width.  Beliefs draw uniformly (flat Dirichlet)."""
-    n = _states(contract, n)
+    game = SimpleAnnouncement(contract)
     rng = np.random.default_rng(seed)
-    draws = rng.dirichlet(np.ones(n), size=samples)
-    fines = np.asarray(contract.fines(n), dtype=float)
-    reject = contract.u - (draws * fines).min(axis=1) < 0.0
+    draws = rng.dirichlet(np.ones(game.states(n)), size=samples)
+    reject = game.batch(draws) < 0.0
     phat = float(reject.mean())
     half = _Z95 * np.sqrt(phat * (1.0 - phat) / samples)
     return phat, float(half)

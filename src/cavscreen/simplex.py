@@ -202,11 +202,6 @@ def simplex_grid_array(n: int, resolution: int) -> np.ndarray:
     return counts / float(resolution)
 
 
-def simplex_grid(n: int, resolution: int) -> list[Belief]:
-    """Uniform lattice over the (n-1)-simplex, vertices included."""
-    return [Belief(row) for row in simplex_grid_array(n, resolution)]
-
-
 def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
     diff = points - center
     if norm == "euclidean":
@@ -232,11 +227,3 @@ def ball_grid(
     if not inside.any():
         inside[int(dist.argmin())] = True
     return [Belief(row) for row in pts[inside]]
-
-
-def as_matrix(beliefs) -> np.ndarray:
-    """Stack beliefs into an (N, n) coordinate matrix."""
-    beliefs = list(beliefs)
-    if not beliefs:
-        return np.zeros((0, 0))
-    return np.vstack([b.probs for b in beliefs])

@@ -34,9 +34,6 @@ class FigureTraces(NamedTuple):
     def curve(self, k: int) -> np.ndarray:
         return self.objective + self.offsets[k]
 
-    def curve_envelope(self, k: int) -> np.ndarray:
-        return self.envelope + self.offsets[k]
-
 
 def binary_figure_traces(
     model: PosteriorSeparable,

@@ -1,14 +1,16 @@
 """Expert payoff functions induced by announcement contracts.
 
 A contract pays ``u`` up front and fines the expert for announcements that
-events later contradict.  Each value function here maps a belief to the
-expert's expected payoff under the optimal announcement at that belief,
-before any learning costs.
+events later contradict.  Every such game is a ``DecisionProblem``: an
+action-by-state matrix of expected fines, against which the expert at a
+belief picks the cheapest action.  Its value maps a belief to the expert's
+expected payoff under that action, before any learning costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,84 +18,67 @@ from .errors import DimensionMismatch
 from .simplex import Belief, Contract, GeneralizedContract
 
 
-def announce(vf, belief: Belief) -> int:
-    """Index of the announcement the expert makes, ties to the lowest index.
-
-    Accepts a value function or a bare contract.  Rule-out games name the
-    state with the smallest expected fine d_i * x_i; the urn game picks the
-    color call with the fewer expected misses (0 red, 1 black).
-    """
-    if isinstance(vf, UrnDraw):
-        if belief.n != 3:
-            raise DimensionMismatch("urn game requires exactly 3 states")
-        x, y = belief[0], belief[2]
-        return 0 if 1.0 + y - x <= 1.0 + x - y else 1
-    contract = vf.contract if isinstance(vf, SimpleAnnouncement) else vf
-    fines = np.asarray(contract.fines(belief.n), dtype=float)
-    return int(np.argmin(fines * belief.probs))
-
-
-def gross_value(vf, belief: Belief) -> float:
-    """Expected payoff at a belief under the optimal announcement.
-
-    Accepts a value function or a bare contract (read as a rule-out game):
-    the payment less the cheapest expected fine.
-    """
-    if isinstance(vf, (SimpleAnnouncement, UrnDraw)):
-        return vf.value(belief)
-    fines = np.asarray(vf.fines(belief.n), dtype=float)
-    return float(vf.u - (fines * belief.probs).min())
-
-
 @dataclass(frozen=True)
-class SimpleAnnouncement:
-    """Rule-out-one-state game: payoff u - min_i d_i x_i."""
+class DecisionProblem:
+    """Announcement game with payoff u - min_a (F x)_a at belief x.
 
-    contract: Contract | GeneralizedContract
+    ``fines`` maps a state count n to the (A, n) expected-fine matrix F,
+    raising DimensionMismatch for a count the game cannot be played on;
+    ``n`` is the state count when the game fixes one.
+    """
+
+    u: float
+    fines: Callable[[int], np.ndarray]
+    n: int | None = None
+
+    def states(self, n: int | None = None) -> int:
+        """The state count to play on: the game's own, or n when it has none."""
+        if self.n is not None:
+            if n is not None and n != self.n:
+                raise ValueError(f"game fixes n={self.n}, got n={n}")
+            return self.n
+        if n is None:
+            raise ValueError("state count required for a common-fine contract")
+        return n
 
     def value(self, belief: Belief) -> float:
-        return gross_value(self.contract, belief)
+        return float(self.u - (self.fines(belief.n) @ belief.probs).min())
 
     def batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        fines = np.asarray(self.contract.fines(pts.shape[1]), dtype=float)
-        return self.contract.u - (pts * fines).min(axis=1)
+        return self.u - (pts @ self.fines(pts.shape[1]).T).min(axis=1)
+
+    def announce(self, belief: Belief) -> int:
+        """Index of the action the expert takes, ties to the lowest index."""
+        return int(np.argmin(self.fines(belief.n) @ belief.probs))
 
 
-@dataclass(frozen=True)
-class UrnDraw:
+def SimpleAnnouncement(contract: Contract | GeneralizedContract) -> DecisionProblem:
+    """Rule-out-one-state game: announcing i costs d_i x_i, F = diag(d)."""
+    return DecisionProblem(
+        contract.u,
+        lambda n: np.diag(contract.fines(n)),
+        getattr(contract, "n", None),
+    )
+
+
+_URN_MISSES = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
+
+
+def UrnDraw(contract: Contract) -> DecisionProblem:
     """Color-calling game over a two-ball urn.
 
     States order the urn compositions (rr, rb, bb).  The expert commits to a
-    color call for each of two draws and forfeits d/2 per miss.  Calling the
-    likelier composition's color twice is optimal, so with x = P(rr) and
-    y = P(bb) the payoff is u - (d/2) min(1 + x - y, 1 + y - x), kinked
-    along x = y.
+    color call for both draws (0 red, 1 black) and forfeits d/2 per miss, so
+    F = (d/2) [[0, 1, 2], [2, 1, 0]].  With x = P(rr) and y = P(bb) the
+    payoff is u - (d/2) min(1 + y - x, 1 + x - y), kinked along x = y.
     """
+    if not isinstance(contract, Contract):
+        raise ValueError("the urn game uses a common-fine contract")
 
-    contract: Contract
-
-    def value(self, belief: Belief) -> float:
-        if belief.n != 3:
+    def fines(n: int) -> np.ndarray:
+        if n != 3:
             raise DimensionMismatch("urn game requires exactly 3 states")
-        x, y = belief[0], belief[2]
-        misses = min(1.0 + x - y, 1.0 + y - x)
-        return self.contract.u - 0.5 * self.contract.d * misses
+        return 0.5 * contract.d * _URN_MISSES
 
-    def batch(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[1] != 3:
-            raise DimensionMismatch("urn game requires exactly 3 states")
-        diff = pts[:, 0] - pts[:, 2]
-        misses = 1.0 - np.abs(diff)
-        return self.contract.u - 0.5 * self.contract.d * misses
-
-
-ValueFunction = SimpleAnnouncement | UrnDraw
-
-
-def as_value_function(vf) -> ValueFunction:
-    """Wrap a bare contract as a rule-out game; pass value functions through."""
-    if isinstance(vf, (SimpleAnnouncement, UrnDraw)):
-        return vf
-    return SimpleAnnouncement(vf)
+    return DecisionProblem(contract.u, fines, 3)

@@ -225,10 +225,30 @@ class TestXiScreenCommand:
         assert "analytic rejection mass" in out
 
 
+ENTROPY_SCREEN = "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  d: 1.0\n"
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert cli.main(["screen", "--config", "/does/not/exist.yaml"]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "model:\n  kappa: 0.1\ncontract: search\nn: 2\nassumption:\n  epsilon: 0.1\n",
+            ENTROPY_SCREEN + "n: 2\nball: 3\n",
+            ENTROPY_SCREEN + "n: two\n",
+            ENTROPY_SCREEN + "n: 3\nvariant: bogus\n",
+            ENTROPY_SCREEN + "n: 3\nuninformed: bogus\n",
+        ],
+        ids=["assumption-without-eta", "ball-not-a-mapping", "n-not-a-count",
+             "unknown-variant", "unknown-uninformed"],
+    )
+    def test_malformed_screen_configs_are_config_errors(self, capsys, tmp_path, text):
+        path = write(tmp_path, "bad.yaml", text)
+        assert cli.main(["screen", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_acceptance_exit_codes(self, capsys, monkeypatch):
         from cavscreen.acceptance import CriterionResult

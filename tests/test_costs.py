@@ -16,7 +16,6 @@ from cavscreen import (
     belief2,
     degenerate,
     distribution_cost,
-    experiment_cost,
     fully_informative,
     garble,
     induced_posterior_distribution,
@@ -66,30 +65,16 @@ class TestModelTypes:
 
 
 class TestExperimentCost:
+    # An experiment costs what its induced posterior plan costs.
     def test_null_experiment_is_free(self):
-        menu = FixedMenu(((symmetric_binary(0.75), 50.0),))
         model = PosteriorSeparable(1.0, neg_entropy())
-        assert experiment_cost(menu, null_experiment(2), belief2(0.5)) == 0.0
-        assert experiment_cost(model, null_experiment(2), belief2(0.5)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_listed_price(self):
-        E = symmetric_binary(0.75)
-        menu = FixedMenu(((E, 50.0),))
-        assert experiment_cost(menu, E, belief2(0.5)) == 50.0
-        # an equal matrix built separately is recognized as the same entry
-        clone = symmetric_binary(0.75)
-        assert experiment_cost(menu, clone, belief2(0.4)) == 50.0
-
-    def test_unlisted_informative_is_unavailable(self):
-        menu = FixedMenu(((symmetric_binary(0.75), 50.0),))
-        assert experiment_cost(menu, fully_informative(2), belief2(0.5)) == math.inf
+        plan = induced_posterior_distribution(null_experiment(2), belief2(0.5))
+        assert distribution_cost(model, plan) == pytest.approx(0.0, abs=1e-12)
 
     def test_full_revelation_entropy_cost(self):
         model = PosteriorSeparable(1.0, neg_entropy())
-        got = experiment_cost(model, fully_informative(2), belief2(0.5))
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        plan = induced_posterior_distribution(fully_informative(2), belief2(0.5))
+        assert distribution_cost(model, plan) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestDistributionCost:

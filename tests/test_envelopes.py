@@ -152,18 +152,6 @@ class TestSimplexEnvelope:
             want, _ = concavify_lp(grid, fs, Belief(q))
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_split_achieves_envelope(self):
-        rng = np.random.default_rng(46)
-        grid = simplex_grid_array(3, 12)
-        fs = rng.uniform(-1.0, 1.0, size=len(grid))
-        env = SimplexEnvelope(grid, fs)
-        for q in rng.dirichlet(np.ones(3), size=8):
-            value, plan = env.split(Belief(q))
-            np.testing.assert_allclose(barycenter(plan).probs, q, atol=1e-9)
-            idx = [np.abs(grid - b.probs).sum(axis=1).argmin() for b in plan.support]
-            achieved = float(np.asarray(plan.weights) @ fs[idx])
-            assert achieved == pytest.approx(value, abs=1e-6)
-
     def test_dominates_samples(self):
         rng = np.random.default_rng(47)
         grid = simplex_grid_array(3, 10)

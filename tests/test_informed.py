@@ -13,7 +13,6 @@ from cavscreen import (
     belief2,
     default_resolution,
     distribution_cost,
-    gross_value,
     informed_value,
     informed_value_sweep,
     neg_entropy,
@@ -51,14 +50,14 @@ class TestMenuValues:
         res = informed_value(worked_menu(), SimpleAnnouncement(contract), belief2(1.0))
         assert res.value == pytest.approx(contract.u, abs=1e-12)
 
-    def test_bare_contract_is_read_as_rule_out_game(self):
-        wrapped = informed_value(
-            worked_menu(), SimpleAnnouncement(worked_contract()), belief2(0.5)
-        )
-        bare = informed_value(worked_menu(), worked_contract(), belief2(0.5))
-        assert bare.value == wrapped.value
-        swept = informed_value_sweep(worked_menu(), worked_contract(), [[0.5, 0.5]])
-        assert swept[0] == pytest.approx(wrapped.value, abs=1e-12)
+    def test_point_is_one_row_of_the_sweep(self):
+        menu = FixedMenu(((symmetric_binary(0.75), 50.0), (symmetric_binary(0.9), 120.0)))
+        vf = SimpleAnnouncement(worked_contract())
+        for p in (0.0, 0.2, 1 / 3, 0.45, 0.5, 0.8):
+            res = informed_value(menu, vf, belief2(p))
+            assert res.value == informed_value_sweep(menu, vf, [[p, 1.0 - p]])[0]
+            achieved = float(res.plan.weights @ vf.batch(res.plan.support_matrix))
+            assert achieved - res.cost == pytest.approx(res.value, abs=1e-9)
 
 
 class TestSeparableValues:
@@ -75,7 +74,7 @@ class TestSeparableValues:
         rng = np.random.default_rng(51)
         for mu in rng.uniform(0.02, 0.98, size=10):
             res = informed_value(model, vf, belief2(mu))
-            assert res.value >= gross_value(contract, belief2(mu)) - 1e-9
+            assert res.value >= vf.value(belief2(mu)) - 1e-9
             expected_gross = sum(
                 w * vf.value(b) for b, w in zip(res.plan.support, res.plan.weights)
             )
@@ -91,7 +90,7 @@ class TestSeparableValues:
         for q in rng.dirichlet(np.ones(3), size=6):
             mu = Belief(q)
             res = informed_value(model, vf, mu, resolution=40)
-            assert res.value >= gross_value(gc, mu) - 1e-9
+            assert res.value >= vf.value(mu) - 1e-9
             expected_gross = float(
                 np.asarray(res.plan.weights) @ vf.batch(res.plan.support_matrix)
             )

@@ -15,12 +15,12 @@ from cavscreen import (
     PosteriorSeparable,
     SearchExhausted,
     SimpleAnnouncement,
+    UrnDraw,
     assumption_probe,
     ball_grid,
     belief2,
     binary_rejection_measure,
     construct_screening_contract,
-    equalizer_strategy,
     fully_informative,
     informed_value,
     lp_maximin,
@@ -28,11 +28,9 @@ from cavscreen import (
     prop2_contract,
     rejection_measure_mc,
     screens,
-    seu_uninformed_value,
     symmetric_binary,
     uniform_belief,
     uninformed_maximin,
-    urn_uninformed_maximin,
     xi_screen_search,
 )
 from cavscreen.acceptance import worked_contract, worked_menu
@@ -45,17 +43,22 @@ def payoff_matrix(u, fines):
     return u - np.diag(np.asarray(fines, dtype=float))
 
 
+def seu_value(contract, rho):
+    """Value to an uninformed expert who holds belief rho and cannot learn."""
+    return SimpleAnnouncement(contract).value(rho)
+
+
 class TestUninformedMaximin:
     def test_worked_contract(self):
-        value, strategy = uninformed_maximin(worked_contract(), 2)
+        value, strategy = uninformed_maximin(SimpleAnnouncement(worked_contract()), 2)
         assert value == pytest.approx(-50.0)
         np.testing.assert_allclose(strategy, [0.5, 0.5])
 
     def test_u_equal_to_d_over_n_is_the_acceptance_boundary(self):
-        assert uninformed_maximin(Contract(2.0, 6.0), 3).value == 0.0
+        assert uninformed_maximin(SimpleAnnouncement(Contract(2.0, 6.0)), 3).value == 0.0
 
     def test_unequal_fines(self):
-        got = uninformed_maximin(GeneralizedContract(1.0, (3.0, 1.0)))
+        got = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, (3.0, 1.0))))
         assert got.value == pytest.approx(0.25)
         np.testing.assert_allclose(got.strategy, [0.25, 0.75])
 
@@ -65,13 +68,13 @@ class TestUninformedMaximin:
             n = int(rng.integers(2, 7))
             u = rng.uniform(0.1, 5.0)
             fines = rng.uniform(0.2, 8.0, size=n)
-            gc = GeneralizedContract(u, fines)
+            game = SimpleAnnouncement(GeneralizedContract(u, fines))
             lp = lp_maximin(payoff_matrix(u, fines))
-            assert uninformed_maximin(gc).value == pytest.approx(lp.value, abs=1e-9)
+            assert uninformed_maximin(game).value == pytest.approx(lp.value, abs=1e-9)
 
     def test_equalizer_flattens_expected_fines(self):
         gc = GeneralizedContract(2.0, (5.0, 1.0, 2.0))
-        sigma = equalizer_strategy(gc)
+        sigma = uninformed_maximin(SimpleAnnouncement(gc)).strategy
         products = sigma * np.asarray(gc.fines())
         assert products.max() - products.min() < 1e-12
 
@@ -79,24 +82,24 @@ class TestUninformedMaximin:
         rng = np.random.default_rng(62)
         fines = rng.uniform(0.5, 4.0, size=4)
         perm = rng.permutation(4)
-        a = uninformed_maximin(GeneralizedContract(1.0, fines)).value
-        b = uninformed_maximin(GeneralizedContract(1.0, fines[perm])).value
+        a = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, fines))).value
+        b = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, fines[perm]))).value
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestSeuUninformed:
     def test_uniform_prior_matches_maximin(self):
-        assert seu_uninformed_value(Contract(2.0, 6.0), uniform_belief(3)) == pytest.approx(0.0)
+        assert seu_value(Contract(2.0, 6.0), uniform_belief(3)) == pytest.approx(0.0)
 
     def test_worked_numbers(self):
-        got = seu_uninformed_value(GeneralizedContract(1.0, (3.0, 1.0)), belief2(0.3))
+        got = seu_value(GeneralizedContract(1.0, (3.0, 1.0)), belief2(0.3))
         assert got == pytest.approx(0.3)
 
     def test_equalized_contract_is_announcement_proof(self):
         rho = Belief((0.2, 0.3, 0.5))
         gc = prop2_contract(rho, 4.0, 10.0)
         want = 4.0 - 0.5 * 10.0
-        assert seu_uninformed_value(gc, rho) == pytest.approx(want, abs=1e-12)
+        assert seu_value(gc, rho) == pytest.approx(want, abs=1e-12)
 
 
 class TestScreens:
@@ -245,7 +248,7 @@ class TestProp2:
         gc = prop2_contract(rho, 1.0, d_last)
         products = np.asarray(gc.fines()) * rho.probs
         assert products.max() - products.min() < 1e-12
-        assert seu_uninformed_value(gc, rho) == pytest.approx(
+        assert seu_value(gc, rho) == pytest.approx(
             1.0 - rho[n - 1] * d_last, abs=1e-12
         )
 
@@ -290,7 +293,21 @@ class TestXiScreen:
 
 class TestUrnVariant:
     def test_opposite_calls_guarantee(self):
-        assert urn_uninformed_maximin(Contract(0.03, 0.1)) == pytest.approx(-0.02)
+        # the zero-sum LP over the two color calls gives u - d/2 at (1/2, 1/2)
+        rng = np.random.default_rng(64)
+        for u, d in rng.uniform(0.01, 2.0, size=(5, 2)):
+            got = uninformed_maximin(UrnDraw(Contract(u, d)))
+            assert got.value == pytest.approx(u - d / 2.0, abs=1e-9)
+            np.testing.assert_allclose(got.strategy, [0.5, 0.5], atol=1e-9)
+
+    def test_seu_outside_value_plays_the_urn(self):
+        rho = Belief((0.5, 0.2, 0.3))
+        report = screens(
+            PosteriorSeparable(0.01, neg_entropy()), Contract(0.03, 0.1), 3,
+            grid=[rho], uninformed="seu", rho=rho, variant="urn",
+        )
+        # calling red misses 0.2 + 2 * 0.3 = 0.8 times in expectation
+        assert report.uninformed_value == pytest.approx(0.03 - 0.05 * 0.8, abs=1e-12)
 
     def test_ball_restricted_screening(self):
         model = PosteriorSeparable(0.01, neg_entropy())

@@ -18,7 +18,6 @@ from cavscreen import (
     belief2,
     degenerate,
     min_prob,
-    simplex_grid,
     simplex_grid_array,
     uniform_belief,
 )
@@ -130,14 +129,14 @@ class TestBarycenter:
 
 class TestSimplexGrid:
     def test_coarsest_binary_grid(self):
-        pts = {tuple(b.probs) for b in simplex_grid(2, 2)}
+        pts = {tuple(row) for row in simplex_grid_array(2, 2)}
         assert pts == {(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)}
 
     def test_binary_resolution_four(self):
-        assert len(simplex_grid(2, 4)) == 5
+        assert len(simplex_grid_array(2, 4)) == 5
 
     def test_three_state_resolution_two(self):
-        assert len(simplex_grid(3, 2)) == 6
+        assert len(simplex_grid_array(3, 2)) == 6
 
     @pytest.mark.parametrize("n,r", [(2, 7), (3, 9), (4, 5), (5, 4)])
     def test_lattice_count(self, n, r):
@@ -164,7 +163,7 @@ class TestBallGrid:
         np.testing.assert_allclose(xs, expected, atol=1e-12)
 
     def test_huge_radius_covers_grid(self):
-        assert len(ball_grid(uniform_belief(3), 10.0, 6)) == len(simplex_grid(3, 6))
+        assert len(ball_grid(uniform_belief(3), 10.0, 6)) == len(simplex_grid_array(3, 6))
 
     def test_tight_ball_keeps_only_center(self):
         ball = ball_grid(uniform_belief(3), 0.01, 3)
