@@ -42,6 +42,7 @@ from .experiments import (
     signal_marginal,
     symmetric_binary,
     upsilon,
+    upsilon_batch,
 )
 from .informed import (
     InformedResult,
@@ -63,10 +64,10 @@ from .screening import (
     ScreeningReport,
     XiScreenResult,
     assumption_probe,
-    binary_rejection_measure,
     construct_screening_contract,
     design_binary_contract,
     prop2_contract,
+    rejection_measure,
     rejection_measure_mc,
     screens,
     uninformed_maximin,

@@ -22,6 +22,9 @@ from .config import (
     contract_from,
     cost_model_from,
     load_config,
+    number_from,
+    priors_from,
+    resolution_from,
     states_from,
 )
 from .costs import PosteriorSeparable, neg_entropy
@@ -30,6 +33,7 @@ from .errors import (
     BoundaryPrior,
     CavscreenError,
     ConfigError,
+    DimensionMismatch,
     NoFeasibleU,
     SearchExhausted,
 )
@@ -40,6 +44,7 @@ from .screening import (
     construct_screening_contract,
     design_binary_contract,
     prop2_contract,
+    rejection_measure,
     screens,
     uninformed_maximin,
     xi_screen_search,
@@ -146,8 +151,8 @@ def _cmd_figure(args) -> int:
     if contract is None:
         contract = design_binary_contract(model)
         print(f"designed contract: u={contract.u:.6g} d={contract.d:.6g}")
-    priors = tuple(cfg.get("priors", (0.47, 0.50, 0.53)))
-    resolution = args.grid or cfg.get("resolution", 1000)
+    priors = priors_from(cfg, (0.47, 0.50, 0.53))
+    resolution = resolution_from(cfg, args.grid) or 1000
     traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
     for k, p in enumerate(traces.priors):
         plan = traces.plans[k]
@@ -185,31 +190,31 @@ def _cmd_screen(args) -> int:
     kind = choice_from(cfg, "uninformed", UNINFORMED, "maximin")
     variant = choice_from(cfg, "variant", VARIANTS, "simple")
     n = states_from(cfg)
-    resolution = args.grid or cfg.get("resolution")
-    if contract is None:
-        built = construct_screening_contract(
-            model,
-            assumption_from(cfg),
-            center=rho,
-            eta=float(cfg.get("eta", 0.1)),
-            margin=float(cfg.get("margin", 0.05)),
-            resolution=resolution,
-            norm=cfg.get("norm", "euclidean"),
-            n=n,
-        )
-        print(
-            f"constructed contract u={built.contract.u:.6g} d={built.contract.d:.6g} "
-            f"from certificate (epsilon={built.certificate.epsilon:.6g}, "
-            f"T={built.certificate.T:.6g})"
-        )
-        report = built.report
-    else:
-        if kind == "seu" and rho is None:
-            raise ConfigError("uninformed: seu needs rho, the uninformed belief")
-        report = screens(
-            model, contract, n, grid=ball_from(cfg, resolution), resolution=resolution,
-            uninformed=kind, rho=rho, variant=variant,
-        )
+    resolution = resolution_from(cfg, args.grid)
+    if contract is not None and kind == "seu" and rho is None:
+        raise ConfigError("uninformed: seu needs rho, the uninformed belief")
+    try:
+        if contract is None:
+            built = construct_screening_contract(
+                model, assumption_from(cfg), center=rho, n=n, resolution=resolution,
+                eta=number_from(cfg, "eta", 0.1, low=0.0),
+                margin=number_from(cfg, "margin", 0.05, low=-1.0),
+                norm=choice_from(cfg, "norm", ("euclidean", "sup"), "euclidean"),
+            )
+            print(
+                f"constructed contract u={built.contract.u:.6g} d={built.contract.d:.6g} "
+                f"from certificate (epsilon={built.certificate.epsilon:.6g}, "
+                f"T={built.certificate.T:.6g})"
+            )
+            report = built.report
+        else:
+            report = screens(
+                model, contract, n, grid=ball_from(cfg, resolution), resolution=resolution,
+                uninformed=kind, rho=rho, variant=variant,
+            )
+    except (ValueError, DimensionMismatch) as exc:
+        # No state count is set, or n, rho, the contract and the model disagree.
+        raise ConfigError(str(exc)) from exc
     print(report.to_text())
     return EXIT_OK if report.screens else EXIT_INFEASIBLE
 
@@ -219,8 +224,8 @@ def _cmd_prop2(args) -> int:
     if "rho" not in cfg:
         raise ConfigError("prop2 needs rho: the belief to equalize against")
     rho = belief_from(cfg["rho"], "rho")
-    d_last = float(cfg.get("d_last", 1.0))
-    u = float(cfg.get("u", 0.999 * rho[rho.n - 1] * d_last))
+    d_last = number_from(cfg, "d_last", 1.0, low=0.0)
+    u = number_from(cfg, "u", 0.999 * rho[rho.n - 1] * d_last, low=0.0)
     contract = prop2_contract(rho, u, d_last)
     fines = ", ".join(f"{d:.6g}" for d in contract.fines())
     print(f"contract: u={contract.u:.6g} fines=({fines})")
@@ -233,12 +238,8 @@ def _cmd_prop2(args) -> int:
     if "model" in cfg:
         model = cost_model_from(cfg)
         report = screens(
-            model,
-            contract,
-            rho.n,
-            resolution=args.grid or cfg.get("resolution"),
-            uninformed="seu",
-            rho=rho,
+            model, contract, rho.n, resolution=resolution_from(cfg, args.grid),
+            uninformed="seu", rho=rho,
         )
         print(report.to_text())
         return EXIT_OK if report.screens else EXIT_INFEASIBLE
@@ -250,14 +251,10 @@ def _cmd_xi_screen(args) -> int:
     model = cost_model_from(cfg) if "model" in cfg else PosteriorSeparable(
         0.01, neg_entropy()
     )
-    xi = float(cfg.get("xi", 0.1))
+    xi = number_from(cfg, "xi", 0.1, low=0.0, high=1.0)
     n = states_from(cfg) or 2
     found = xi_screen_search(
-        model,
-        xi,
-        n=n,
-        resolution=args.grid or cfg.get("resolution"),
-        seed=args.seed,
+        model, xi, n=n, resolution=resolution_from(cfg, args.grid), seed=args.seed
     )
     print(f"contract: u={found.contract.u:.6g} d={found.contract.d:.6g}")
     print(
@@ -265,9 +262,7 @@ def _cmd_xi_screen(args) -> int:
         f"({found.samples} samples), target >= {1.0 - xi:.4f}"
     )
     print(f"informed worst net value: {found.informed_min:.6g}")
-    if n == 2:
-        analytic = 1.0 - 2.0 * found.contract.u / found.contract.d
-        print(f"analytic rejection mass: {analytic:.6f}")
+    print(f"analytic rejection mass: {rejection_measure(found.contract, n):.6f}")
     return EXIT_OK
 
 

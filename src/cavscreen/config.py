@@ -6,9 +6,10 @@ CLI maps to its configuration exit code.
 
 from __future__ import annotations
 
-import yaml
+import sys
 
 import numpy as np
+import yaml
 
 from .costs import CostModel, FixedMenu, Potential, PosteriorSeparable, potential_by_name
 from .errors import ConfigError
@@ -113,12 +114,36 @@ def belief_from(values, where: str = "belief") -> Belief:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
+def number_from(cfg: dict, key: str, default, low=-np.inf, high=np.inf, kind=float):
+    """The optional number ``key`` (``default`` if absent): a finite ``kind`` in (low, high]."""
+    value = cfg.get(key, default)
+    if value is not None and not (
+        isinstance(value, (int, kind)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max and low < value <= high
+    ):
+        raise ConfigError(f"{key} must be {kind.__name__} in ({low:g}, {high:g}], got {value!r}")
+    return value if value is None else kind(value)
+
+
 def states_from(cfg: dict) -> int | None:
     """The optional state count ``n``: an integer of at least 2."""
-    n = cfg.get("n")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 2):
-        raise ConfigError(f"n must be an integer >= 2, got {n!r}")
-    return n
+    return number_from(cfg, "n", None, low=1, kind=int)
+
+
+def resolution_from(cfg: dict, grid: int | None = None) -> int | None:
+    """The optional grid resolution, ``grid`` (--grid) if set, else ``resolution``."""
+    return number_from({"resolution": grid} if grid else cfg, "resolution", None, low=1, kind=int)
+
+
+def priors_from(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
+    """The optional list ``priors`` of first-state probabilities."""
+    values = cfg.get("priors", default)
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0
+        for p in values
+    ):
+        raise ConfigError(f"priors must be a list of probabilities, got {values!r}")
+    return tuple(values)
 
 
 def choice_from(cfg: dict, key: str, choices, default: str) -> str:

@@ -8,7 +8,7 @@ Two constructions back every optimal-learning computation:
   evaluated as a minimum over upper-facet planes.  Built once per objective,
   it answers whole-grid sweeps in vectorized batches.
 
-``concavify_lp`` solves the defining linear program directly.  It is
+``concavify_lp`` solves the defining linear program, in dual form.  It is
 dimension-agnostic, returns a basic optimal plan with at most n support
 points, and doubles as the independent check on both hull constructions.
 """
@@ -27,6 +27,8 @@ _WEIGHT_TOL = 1e-12
 # A query this close to a grid point that attains the envelope is treated as
 # locally concave: the returned plan degenerates to that point.
 _CONTACT_TOL = 1e-9
+# Query rows per dense facet-plane block in SimplexEnvelope.values.
+_CHUNK = 512
 
 
 class Envelope1d:
@@ -136,7 +138,8 @@ def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
     """Concavification by linear programming.
 
     Maximizes sum_j p_j f(x_j) over weights p with barycenter mu.  Returns the
-    optimum and a basic optimal plan (at most n support points).
+    optimum and a basic optimal plan (at most n support points).  Solved as
+    the dual, the lowest affine majorant at mu; the weights are its multipliers.
     """
     pts = np.asarray(points, dtype=float)
     fvals = np.asarray(fs, dtype=float)
@@ -147,21 +150,17 @@ def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
     n = pts.shape[1]
     if mu.n != n:
         raise ValueError(f"query belief has {mu.n} states, grid has {n}")
-    # Coordinate rows sum to the normalization row, so drop one coordinate.
-    A_eq = np.vstack([pts[:, : n - 1].T, np.ones(pts.shape[0])])
-    b_eq = np.append(mu.probs[: n - 1], 1.0)
-    res = linprog(
-        -fvals,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if res.status == 2:
+    # The majorant is lam . x[:n-1] + c (coordinates sum to one) and must
+    # reach every sample.
+    A_ub = -np.hstack([pts[:, : n - 1], np.ones((pts.shape[0], 1))])
+    c = np.append(mu.probs[: n - 1], 1.0)
+    res = linprog(c, A_ub=A_ub, b_ub=-fvals, bounds=(None, None), method="highs")
+    # An unbounded dual is an infeasible primal.
+    if res.status == 3:
         raise InfeasibleBarycenter(f"{mu} lies outside the grid's convex hull")
     if not res.success:
         raise RuntimeError(f"concavification LP failed: {res.message}")
-    value = float(-res.fun)
+    value = float(res.fun)
     # Prefer the degenerate plan when the query is itself a grid point that
     # attains the optimum (ties broken toward no learning).
     diffs = np.abs(pts - mu.probs).max(axis=1)
@@ -172,7 +171,7 @@ def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
         return float(fvals[at_query]), PosteriorDistribution(
             (Belief(pts[at_query]),), np.array([1.0]), mu
         )
-    return value, _prune_plan(pts, res.x, mu)
+    return value, _prune_plan(pts, -res.ineqlin.marginals, mu)
 
 
 class SimplexEnvelope:
@@ -208,14 +207,14 @@ class SimplexEnvelope:
         self._alpha = -normals[:, : self.n - 1] / normals[:, self.n - 1 : self.n]
         self._beta = -normals[:, -1] / normals[:, self.n - 1]
 
-    def values(self, queries, chunk: int = 512) -> np.ndarray:
+    def values(self, queries) -> np.ndarray:
         """Envelope at each query belief row; min over facet planes, chunked."""
         q = np.asarray(queries, dtype=float)[:, : self.n - 1]
         out = np.empty(q.shape[0])
-        for start in range(0, q.shape[0], chunk):
-            block = q[start : start + chunk]
+        for start in range(0, q.shape[0], _CHUNK):
+            block = q[start : start + _CHUNK]
             planes = block @ self._alpha.T + self._beta
-            out[start : start + chunk] = planes.min(axis=1)
+            out[start : start + _CHUNK] = planes.min(axis=1)
         return out
 
     def value(self, mu: Belief) -> float:

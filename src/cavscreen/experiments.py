@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroProbabilitySignal
-from .simplex import SUM_TOL, Belief, PosteriorDistribution, _frozen_array, min_prob
+from .simplex import SUM_TOL, Belief, PosteriorDistribution, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +114,20 @@ def induced_posterior_distribution(E: Experiment, mu: Belief) -> PosteriorDistri
     return PosteriorDistribution(support, np.array(weights), mu)
 
 
-def upsilon(E: Experiment, mu: Belief) -> float:
-    """Learning benefit of E at mu: min_i mu_i minus the summed per-signal
-    minimum joint probabilities min_i mu_i P_i(s).
+def upsilon_batch(E: Experiment, priors) -> np.ndarray:
+    """Learning benefit of E at every prior row mu: min_i mu_i minus the
+    summed per-signal minimum joint probabilities min_i mu_i P_i(s).  Always
+    in [0, min_i mu_i]; zero for uninformative experiments."""
+    pts = np.asarray(priors, dtype=float)
+    if pts.shape[1] != E.n:
+        raise DimensionMismatch(f"experiment has {E.n} states, beliefs have {pts.shape[1]}")
+    joint = pts[:, :, None] * E.likelihoods
+    return pts.min(axis=1) - joint.min(axis=1).sum(axis=1)
 
-    Always in [0, min_i mu_i]; zero for uninformative experiments.
-    """
-    if E.n != mu.n:
-        raise DimensionMismatch(f"experiment has {E.n} states, belief has {mu.n}")
-    joint = mu.probs[:, None] * E.likelihoods
-    return min_prob(mu) - float(joint.min(axis=0).sum())
+
+def upsilon(E: Experiment, mu: Belief) -> float:
+    """Learning benefit of E at mu: one row of ``upsilon_batch``."""
+    return float(upsilon_batch(E, mu.probs[None, :])[0])
 
 
 def is_delta_valuable(E: Experiment, mu: Belief, delta: float) -> bool:

@@ -4,8 +4,12 @@ A contract screens when every informed type keeps a nonnegative net value
 while the uninformed type's value is strictly negative.  This module holds
 the closed-form uninformed values, the grid verifier, and three contract
 constructions: a certified payment/fine pipeline built from a valuability
-probe, fines equalized against a target belief, and a lattice search that
+probe, fines equalized against a target belief, and a fine search that
 drives the rejection measure of belief-holding uninformed types to 1 - xi.
+
+Under a common fine d the informed net value is the payment u plus a part
+that does not depend on u, so one sweep per fine prices every payment and
+each construction reads its payment off that sweep in closed form.
 """
 
 from __future__ import annotations
@@ -16,8 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostModel, FixedMenu, PosteriorSeparable
-from .errors import AssumptionViolated, BoundaryPrior, NoFeasibleU, SearchExhausted
-from .experiments import upsilon
+from .errors import (
+    AssumptionViolated,
+    BoundaryPrior,
+    DimensionMismatch,
+    NoFeasibleU,
+    SearchExhausted,
+)
+from .experiments import upsilon_batch
 from .informed import default_resolution, informed_value_sweep
 from .oracle import lp_maximin
 from .simplex import (
@@ -26,13 +36,14 @@ from .simplex import (
     GeneralizedContract,
     ball_grid,
     distances,
-    min_prob,
     simplex_grid_array,
     uniform_belief,
 )
 from .values import DecisionProblem, SimpleAnnouncement, UrnDraw
 
 _Z95 = 1.96
+# Common fines tried by the xi search, log-spaced over [0.5, 512] x scale.
+_FINE_STEPS = 18
 
 
 class MaximinResult(NamedTuple):
@@ -65,6 +76,21 @@ VARIANTS = {"simple": SimpleAnnouncement, "urn": UrnDraw}
 UNINFORMED = ("maximin", "seu")
 
 
+def _state_count(model: CostModel, n: int | None) -> int | None:
+    """n, else the state count of the menu's experiments."""
+    if n is None and isinstance(model, FixedMenu) and model.entries:
+        return model.entries[0][0].n
+    return n
+
+
+def _center(model: CostModel, center: Belief | None, n: int | None) -> Belief:
+    """The ball center: as given, else the uniform belief."""
+    n = _state_count(model, n)
+    if center is None and n is None:
+        raise ValueError("state count n required when no center is given")
+    return uniform_belief(n) if center is None else center
+
+
 @dataclass(frozen=True)
 class ScreeningReport:
     """Grid verification of a contract against one cost model."""
@@ -95,6 +121,17 @@ class ScreeningReport:
         return "\n".join(lines)
 
 
+def _report(
+    contract, n, resolution, points, net, outside, kind="maximin", prior_set=None
+) -> ScreeningReport:
+    """Report of informed net values ``net`` at the prior rows ``points``."""
+    worst = int(net.argmin())
+    return ScreeningReport(
+        contract, n, resolution, kind, outside, float(net[worst]), Belief(points[worst]),
+        prior_set or f"simplex grid, resolution {resolution}",
+    )
+
+
 def screens(
     model: CostModel,
     contract: Contract | GeneralizedContract,
@@ -109,10 +146,10 @@ def screens(
     """Verify the screening property on a belief grid.
 
     ``uninformed`` picks the outside type: "maximin" for a beliefless expert,
-    "seu" for one holding belief ``rho``.  ``grid`` replaces the default
-    simplex lattice with an explicit stack of priors.  ``variant`` picks the
-    game both types play: "simple" rules out one state, "urn" plays color
-    calls on three states.
+    "seu" for one holding belief ``rho`` on the game's states.  ``grid``
+    replaces the default simplex lattice with an explicit stack of priors.
+    ``variant`` picks the game both types play: "simple" rules out one
+    state, "urn" plays color calls on three states.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
@@ -121,34 +158,24 @@ def screens(
     if uninformed == "seu" and rho is None:
         raise ValueError("seu comparison needs the uninformed belief rho")
     game = VARIANTS[variant](contract)
-    if isinstance(model, FixedMenu) and n is None and model.entries:
-        n = model.entries[0][0].n
-    n = game.states(n)
+    n = game.states(_state_count(model, n))
     resolution = resolution or default_resolution(n)
     if grid is None:
-        points = simplex_grid_array(n, resolution)
-        prior_set = f"simplex grid, resolution {resolution}"
+        points, prior_set = simplex_grid_array(n, resolution), None
     else:
         points = np.asarray(
             [mu.probs if isinstance(mu, Belief) else mu for mu in grid], dtype=float
         )
         prior_set = f"custom grid, {len(points)} priors"
+    widths = {points.shape[1]} | ({rho.n} if uninformed == "seu" else set())
+    if widths != {n}:
+        raise DimensionMismatch(f"the game has n={n}, its priors or rho have {widths}")
     net = informed_value_sweep(model, game, points)
-    worst = int(net.argmin())
     if uninformed == "maximin":
         outside = uninformed_maximin(game, n).value
     else:
         outside = game.value(rho)
-    return ScreeningReport(
-        contract=contract,
-        n=n,
-        resolution=resolution,
-        uninformed_kind=uninformed,
-        uninformed_value=outside,
-        informed_min=float(net[worst]),
-        worst_prior=Belief(points[worst]),
-        prior_set=prior_set,
-    )
+    return _report(contract, n, resolution, points, net, outside, uninformed, prior_set)
 
 
 @dataclass(frozen=True)
@@ -168,6 +195,26 @@ class AssumptionCertificate:
     resolution: int
 
 
+def _ball_options(model: CostModel, ball: list[Belief]) -> tuple[np.ndarray, np.ndarray]:
+    """(options, priors) tables of improvement and price at the ball priors.
+
+    Option 0 is not learning: no improvement, no price.  A menu adds its
+    entries.  A posterior-separable model adds full revelation, which improves
+    by the smallest prior probability and costs the potential's rise from the
+    prior to the vertices.
+    """
+    points = np.array([mu.probs for mu in ball])
+    if isinstance(model, FixedMenu):
+        gain = [upsilon_batch(E, points) for E, _ in model.entries]
+        price = [np.full(len(ball), p) for _, p in model.entries]
+    else:
+        vertex_cost = model.potential.batch(np.eye(points.shape[1]))
+        gain = [points.min(axis=1)]
+        price = [model.kappa * (points @ vertex_cost - model.potential.batch(points))]
+    zero = np.zeros(len(ball))
+    return np.array([zero] + gain), np.array([zero] + price)
+
+
 def assumption_probe(
     model: CostModel,
     n: int | None = None,
@@ -180,54 +227,20 @@ def assumption_probe(
     """Search for a valuability certificate on a ball of priors.
 
     The ball sits around ``center`` (the uniform belief on ``n`` states when
-    only ``n`` is given).  Menus are probed entry by entry; posterior-
-    separable models are probed with the full-revelation plan, whose
-    improvement is the smallest prior probability and whose cost is bounded
-    on the ball.  Returns None when no strictly positive improvement is
-    certifiable.
+    only ``n`` is given).  Each ball prior takes its most improving option
+    (menu entry, or full revelation under a posterior-separable cost); the
+    certificate is the worst such improvement and the dearest price paid.
+    Returns None when no strictly positive improvement is certifiable.
     """
-    if center is None:
-        if n is None:
-            if isinstance(model, FixedMenu) and model.entries:
-                n = model.entries[0][0].n
-            else:
-                raise ValueError("state count required when no center is given")
-        center = uniform_belief(n)
-    n = center.n
-    resolution = resolution or default_resolution(n)
+    center = _center(model, center, n)
+    resolution = resolution or default_resolution(center.n)
     ball = ball_grid(center, eta, resolution, norm=norm)
-    if isinstance(model, FixedMenu):
-        if not model.entries:
-            return None
-        best_ups = np.full(len(ball), -np.inf)
-        best_price = np.zeros(len(ball))
-        for experiment, price in model.entries:
-            ups = np.array([upsilon(experiment, mu) for mu in ball])
-            take = ups > best_ups
-            best_ups[take] = ups[take]
-            best_price[take] = price
-        worst = float(best_ups.min())
-        if worst <= 0.0:
-            return None
-        T = float(best_price.max())
-    else:
-        pts = np.array([mu.probs for mu in ball])
-        vertex_cost = model.potential.batch(np.eye(n))
-        cost = model.kappa * (pts @ vertex_cost - model.potential.batch(pts))
-        if not np.isfinite(cost).all():
-            return None
-        worst = float(pts.min(axis=1).min())
-        if worst <= 0.0:
-            return None
-        T = float(cost.max())
-    return AssumptionCertificate(
-        epsilon=0.99 * worst,
-        T=T,
-        center=center,
-        eta=eta,
-        norm=norm,
-        resolution=resolution,
-    )
+    gain, price = _ball_options(model, ball)
+    best = gain.argmax(axis=0), np.arange(len(ball))
+    worst, T = float(gain[best].min()), float(price[best].max())
+    if worst <= 0.0 or not np.isfinite(T):
+        return None
+    return AssumptionCertificate(0.99 * worst, T, center, eta, norm, resolution)
 
 
 class Construction(NamedTuple):
@@ -236,26 +249,11 @@ class Construction(NamedTuple):
     report: ScreeningReport
 
 
-def _verify_assumption(
-    model: CostModel, epsilon: float, T: float, ball: list[Belief]
-) -> Belief | None:
-    """First ball prior without an affordable plan improving by > epsilon,
-    or None when every prior has one."""
-    for mu in ball:
-        if isinstance(model, FixedMenu):
-            ok = any(
-                price <= T and upsilon(experiment, mu) > epsilon
-                for experiment, price in model.entries
-            )
-        else:
-            vertex_cost = model.potential.batch(np.eye(mu.n))
-            cost = model.kappa * float(
-                mu.probs @ vertex_cost - model.potential.value(mu.probs)
-            )
-            ok = np.isfinite(cost) and cost <= T and min_prob(mu) > epsilon
-        if not ok:
-            return mu
-    return None
+def _net_less_payment(model: CostModel, d: float, grid: np.ndarray) -> np.ndarray:
+    """Informed net value less the payment under the common fine d, at every
+    grid prior: the part of the net value that does not depend on u."""
+    hi = d / grid.shape[1]
+    return informed_value_sweep(model, SimpleAnnouncement(Contract(hi, d)), grid) - hi
 
 
 def construct_screening_contract(
@@ -276,19 +274,13 @@ def construct_screening_contract(
     where it fails.  Without it the probe computes a certificate.
 
     The fine is d = (1 + margin) T / epsilon, so certified learning near the
-    center beats announcing outright by at least margin*T.  The payment is
-    then bisected inside (d * q_out, d/n), where q_out bounds the worst
-    announcement probability outside the ball: large enough that informed
-    net value is nonnegative on the whole grid and strictly positive on the
-    ball, small enough that the beliefless maximin u - d/n stays negative.
+    center beats announcing outright by at least margin*T.  The payment sits
+    midway between d/n, which keeps the beliefless maximin u - d/n negative,
+    and the smallest u, at least d * q_out (q_out bounds the worst
+    announcement probability outside the ball), whose informed net value is
+    nonnegative on the whole grid and positive on the ball.
     """
-    if center is None:
-        if n is None:
-            if isinstance(model, FixedMenu) and model.entries:
-                n = model.entries[0][0].n
-            else:
-                raise ValueError("state count required when no center is given")
-        center = uniform_belief(n)
+    center = _center(model, center, n)
     n = center.n
     resolution = resolution or default_resolution(n)
     if assumption is not None:
@@ -296,16 +288,14 @@ def construct_screening_contract(
         if epsilon <= 0.0:
             raise AssumptionViolated("epsilon must be positive", prior=center)
         ball = ball_grid(center, eta, resolution, norm=norm)
-        bad = _verify_assumption(model, epsilon, T, ball)
-        if bad is not None:
+        gain, price = _ball_options(model, ball)
+        ok = ((gain > epsilon) & (price <= T)).any(axis=0)
+        if not ok.all():
             raise AssumptionViolated(
                 f"no plan improves by more than {epsilon:.6g} at cost <= {T:.6g}",
-                prior=bad,
+                prior=ball[int(ok.argmin())],
             )
-        certificate = AssumptionCertificate(
-            epsilon=epsilon, T=T, center=center, eta=eta, norm=norm,
-            resolution=resolution,
-        )
+        certificate = AssumptionCertificate(epsilon, T, center, eta, norm, resolution)
     else:
         certificate = assumption_probe(
             model, center=center, eta=eta, resolution=resolution, norm=norm
@@ -327,30 +317,15 @@ def construct_screening_contract(
     lo = max(0.0, d * q_out)
     if lo >= hi:
         raise NoFeasibleU(f"payment window ({lo:.6g}, {hi:.6g}) is empty")
-    # Net value is u plus a u-independent part, so one sweep prices every u.
-    base = informed_value_sweep(model, SimpleAnnouncement(Contract(hi, d)), grid) - hi
+    base = _net_less_payment(model, d, grid)
     m_all = float(base.min())
     m_ball = float(base[in_ball].min()) if in_ball.any() else m_all
-
-    def feasible(u: float) -> bool:
-        return u + m_all >= 0.0 and u + m_ball > 0.0
-
-    if not feasible(hi):
+    if not (hi + m_all >= 0.0 and hi + m_ball > 0.0):
         raise NoFeasibleU("informed net value stays negative up to u = d/n")
-    if feasible(lo):
-        u_star = lo
-    else:
-        a, b = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if feasible(mid):
-                b = mid
-            else:
-                a = mid
-        u_star = b
-    u = 0.5 * (u_star + hi)
+    u = 0.5 * (max(lo, -m_all, -m_ball) + hi)
     contract = Contract(u, d)
-    report = screens(model, contract, n, resolution=resolution)
+    # The beliefless maximin of a common fine is u - d/n.
+    report = _report(contract, n, resolution, grid, u + base, u - hi)
     return Construction(contract, certificate, report)
 
 
@@ -376,10 +351,14 @@ class XiScreenResult(NamedTuple):
     samples: int
 
 
-def binary_rejection_measure(contract: Contract) -> float:
-    """Exact mass of two-state beliefs rho with u - d*min(rho) < 0 under a
-    uniform draw of rho."""
-    return float(np.clip(1.0 - 2.0 * contract.u / contract.d, 0.0, 1.0))
+def rejection_measure(
+    contract: Contract | GeneralizedContract, n: int | None = None
+) -> float:
+    """Exact mass of uniformly drawn beliefs rho that reject, u - min_i d_i
+    rho_i < 0.  They are the scaled simplex rho_i > u/d_i for all i, of mass
+    max(0, 1 - sum_i u/d_i)^(n-1)."""
+    fines = contract.fines(SimpleAnnouncement(contract).states(n))
+    return max(0.0, 1.0 - float(np.sum(contract.u / fines))) ** (len(fines) - 1)
 
 
 def rejection_measure_mc(
@@ -408,17 +387,15 @@ def xi_screen_search(
     resolution: int | None = None,
     samples: int = 100_000,
     seed: int = 0,
-    fine_steps: int = 18,
-    payment_steps: int = 48,
 ) -> XiScreenResult:
     """Find a common-fine contract rejected by all but xi of uninformed
     beliefs while every informed type keeps nonnegative net value.
 
-    Scans log lattices, fines ascending and payments ascending within each
-    fine, returning the first pair that passes the grid check and whose
+    Scans a log lattice of fines, ascending, each with the smallest payment
+    (at least 1e-4 d) that every informed type on the grid accepts; a fine
+    whose payment reaches d/n is skipped.  Returns the first contract whose
     Monte Carlo rejection estimate clears 1 - xi by a full confidence
-    half-width.  Raises SearchExhausted (carrying the best near miss) when
-    the lattice holds no such pair.
+    half-width, else raises SearchExhausted carrying the best near miss.
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
@@ -432,26 +409,22 @@ def xi_screen_search(
     min_draw = rng.dirichlet(np.ones(n), size=samples).min(axis=1)
     target = 1.0 - xi
     best: XiScreenResult | None = None
-    for d in scale * np.geomspace(0.5, 512.0, fine_steps):
-        base = informed_value_sweep(
-            model, SimpleAnnouncement(Contract(d / n, d)), grid
-        ) - d / n
-        worst_base = float(base.min())
-        for u in d * np.geomspace(1e-4, 1.0 / n, payment_steps, endpoint=False):
-            if u + worst_base < 0.0:
-                continue
-            reject = min_draw > u / d
-            phat = float(reject.mean())
-            half = _Z95 * float(np.sqrt(phat * (1.0 - phat) / samples))
-            candidate = XiScreenResult(
-                Contract(float(u), float(d)), phat, half, u + worst_base, samples
-            )
-            if best is None or candidate.rejection > best.rejection:
-                best = candidate
-            if phat - half >= target:
-                return candidate
+    for d in scale * np.geomspace(0.5, 512.0, _FINE_STEPS):
+        worst_base = float(_net_less_payment(model, d, grid).min())
+        u = max(-worst_base, 1e-4 * d)
+        if u >= d / n:
+            continue
+        phat = float((min_draw > u / d).mean())
+        half = _Z95 * float(np.sqrt(phat * (1.0 - phat) / samples))
+        candidate = XiScreenResult(
+            Contract(float(u), float(d)), phat, half, u + worst_base, samples
+        )
+        if best is None or candidate.rejection > best.rejection:
+            best = candidate
+        if phat - half >= target:
+            return candidate
     raise SearchExhausted(
-        f"no lattice contract certifies rejection mass {target:.4g}", best=best
+        f"no lattice fine certifies rejection mass {target:.4g}", best=best
     )
 
 
@@ -479,8 +452,7 @@ def design_binary_contract(
         raise NoFeasibleU("potential slope is not positive at the threshold")
     hi = d / 2.0
     grid = simplex_grid_array(2, default_resolution(2))
-    net = informed_value_sweep(model, SimpleAnnouncement(Contract(hi, d)), grid)
-    u_min = hi - float(net.min())
+    u_min = -float(_net_less_payment(model, d, grid).min())
     if u_min >= hi:
         raise NoFeasibleU("no payment window below the rejection bound")
     return Contract(0.5 * (max(u_min, 0.0) + hi), d)

@@ -38,7 +38,7 @@ class DecisionProblem:
                 raise ValueError(f"game fixes n={self.n}, got n={n}")
             return self.n
         if n is None:
-            raise ValueError("state count required for a common-fine contract")
+            raise ValueError("state count n required for a common-fine contract")
         return n
 
     def value(self, belief: Belief) -> float:

@@ -1,5 +1,7 @@
 """Configuration parsing and the command-line front end."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,8 @@ class TestXiScreenCommand:
         assert "analytic rejection mass" in out
 
 
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 ENTROPY_SCREEN = "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  d: 1.0\n"
 
 
@@ -234,21 +238,64 @@ class TestErrorPaths:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
+        "command, text",
         [
-            "model:\n  kappa: 0.1\ncontract: search\nn: 2\nassumption:\n  epsilon: 0.1\n",
-            ENTROPY_SCREEN + "n: 2\nball: 3\n",
-            ENTROPY_SCREEN + "n: two\n",
-            ENTROPY_SCREEN + "n: 3\nvariant: bogus\n",
-            ENTROPY_SCREEN + "n: 3\nuninformed: bogus\n",
+            pytest.param(
+                "screen",
+                "model:\n  kappa: 0.1\ncontract: search\nn: 2\nassumption:\n  epsilon: 0.1\n",
+                id="assumption-without-eta",
+            ),
+            pytest.param("screen", ENTROPY_SCREEN + "n: 2\nball: 3\n", id="ball-not-a-mapping"),
+            pytest.param("screen", ENTROPY_SCREEN + "n: two\n", id="n-not-a-count"),
+            pytest.param("screen", ENTROPY_SCREEN + "n: 3\nvariant: bogus\n", id="unknown-variant"),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "n: 3\nuninformed: bogus\n", id="unknown-uninformed"
+            ),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "n: 2\nresolution: fine\n", id="resolution-not-a-count"
+            ),
+            pytest.param(
+                "screen", "model:\n  kappa: 0.1\ncontract: search\nn: 2\neta: wide\n",
+                id="eta-not-a-number",
+            ),
+            pytest.param(
+                "screen", "model:\n  kappa: 0.1\ncontract: search\nn: 2\nnorm: taxicab\n",
+                id="unknown-norm",
+            ),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "n: 2\nrho: [0.5, 0.3, 0.2]\nuninformed: seu\n",
+                id="rho-off-the-state-count",
+            ),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "n: 3\nball:\n  center: [0.5, 0.5]\n",
+                id="ball-off-the-state-count",
+            ),
+            pytest.param("xi-screen", "xi: lots\n", id="xi-not-a-number"),
+            pytest.param("xi-screen", "xi: 1.5\n", id="xi-above-one"),
+            pytest.param("prop2", "rho: [0.25, 0.75]\nd_last: heavy\n", id="d-last-not-a-number"),
+            pytest.param("prop2", "rho: [0.25, 0.75]\nu: -1.0\n", id="negative-payment"),
+            pytest.param("figure", "priors: 0.5\n", id="priors-not-a-list"),
         ],
-        ids=["assumption-without-eta", "ball-not-a-mapping", "n-not-a-count",
-             "unknown-variant", "unknown-uninformed"],
     )
-    def test_malformed_screen_configs_are_config_errors(self, capsys, tmp_path, text):
+    def test_malformed_screen_configs_are_config_errors(
+        self, capsys, tmp_path, command, text
+    ):
         path = write(tmp_path, "bad.yaml", text)
-        assert cli.main(["screen", "--config", path]) == 3
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_missing_state_count_is_named(self, capsys):
+        code = cli.main(["screen", "--config", str(CONFIG_DIR / "figure_free_learning.yaml")])
+        assert code == 3
+        assert " n " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["screen", "figure", "prop2", "xi-screen"])
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_every_shipped_config_keeps_the_exit_code_contract(
+        self, capsys, tmp_path, command, config
+    ):
+        code = cli.main([command, "--config", str(config), "--out", str(tmp_path)])
+        assert code in (0, 1, 2, 3)
 
     def test_acceptance_exit_codes(self, capsys, monkeypatch):
         from cavscreen.acceptance import CriterionResult

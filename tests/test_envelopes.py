@@ -133,6 +133,19 @@ class TestConcavifyLp:
         achieved = float(plan.weights @ vf.batch(plan.support_matrix))
         assert achieved == pytest.approx(value, abs=1e-6)
 
+    def test_basic_plan_attains_hull_value_at_n4(self):
+        rng = np.random.default_rng(46)
+        grid = simplex_grid_array(4, 8)
+        fs = rng.uniform(-1.0, 1.0, size=len(grid))
+        env = SimplexEnvelope(grid, fs)
+        for q in rng.dirichlet(np.ones(4), size=6):
+            value, plan = concavify_lp(grid, fs, Belief(q))
+            assert value == pytest.approx(env.value(Belief(q)), abs=1e-9)
+            assert len(plan) <= 4
+            np.testing.assert_allclose(barycenter(plan).probs, q, atol=1e-12)
+            rows = [int(np.abs(grid - b.probs).max(axis=1).argmin()) for b in plan.support]
+            assert float(plan.weights @ fs[rows]) == pytest.approx(value, abs=1e-12)
+
     def test_infeasible_outside_hull(self):
         grid = simplex_grid_array(2, 10)
         inner = grid[(grid[:, 0] >= 0.3) & (grid[:, 0] <= 0.7)]

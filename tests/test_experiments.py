@@ -21,6 +21,7 @@ from cavscreen import (
     symmetric_binary,
     uniform_belief,
     upsilon,
+    upsilon_batch,
 )
 
 
@@ -163,6 +164,19 @@ class TestUpsilon:
             M = rng.dirichlet(np.ones(k), size=m)
             mu = Belief(rng.dirichlet(np.ones(n)))
             assert upsilon(garble(E, M), mu) <= upsilon(E, mu) + 1e-12
+
+    def test_batch_rows_match_single_priors(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n, m = rng.integers(2, 5), rng.integers(1, 6)
+            E = random_experiment(rng, n, m)
+            priors = rng.dirichlet(np.ones(n), size=25)
+            batch = upsilon_batch(E, priors)
+            assert batch.tolist() == [upsilon(E, Belief(p)) for p in priors]
+
+    def test_batch_checks_the_state_count(self):
+        with pytest.raises(DimensionMismatch):
+            upsilon_batch(example_experiment(), np.full((4, 3), 1.0 / 3.0))
 
 
 class TestDeltaValuable:

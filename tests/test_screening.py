@@ -10,6 +10,8 @@ from cavscreen import (
     Belief,
     BoundaryPrior,
     Contract,
+    DimensionMismatch,
+    Experiment,
     FixedMenu,
     GeneralizedContract,
     PosteriorSeparable,
@@ -19,20 +21,23 @@ from cavscreen import (
     assumption_probe,
     ball_grid,
     belief2,
-    binary_rejection_measure,
     construct_screening_contract,
     fully_informative,
     informed_value,
+    informed_value_sweep,
     lp_maximin,
     neg_entropy,
     prop2_contract,
+    rejection_measure,
     rejection_measure_mc,
     screens,
     symmetric_binary,
     uniform_belief,
     uninformed_maximin,
+    upsilon,
     xi_screen_search,
 )
+from cavscreen import screening
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
 
@@ -141,6 +146,14 @@ class TestScreens:
         uninformed = [r.uninformed_value for r in reports]
         assert uninformed == sorted(uninformed)
 
+    def test_priors_and_rho_must_match_the_state_count(self):
+        model = PosteriorSeparable(0.1, neg_entropy())
+        contract = Contract(0.1, 1.0)
+        with pytest.raises(DimensionMismatch):
+            screens(model, contract, 2, uninformed="seu", rho=Belief((0.5, 0.3, 0.2)))
+        with pytest.raises(DimensionMismatch):
+            screens(model, contract, 3, grid=[belief2(0.5)])
+
     def test_custom_grid_descriptor(self):
         grid = ball_grid(belief2(0.5), 0.05, 100)
         report = screens(worked_menu(), worked_contract(), 2, grid=grid)
@@ -208,6 +221,52 @@ class TestConstruction:
         with pytest.raises(AssumptionViolated):
             construct_screening_contract(FixedMenu(()), n=2)
 
+    def test_one_sweep_prices_the_payment_and_the_report(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return informed_value_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(screening, "informed_value_sweep", counted)
+        built = construct_screening_contract(PosteriorSeparable(0.1, neg_entropy()), n=2)
+        assert built.report.screens
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "model, n, resolution",
+        [(worked_menu(), 2, 1000), (PosteriorSeparable(0.05, neg_entropy()), 2, 400),
+         (PosteriorSeparable(0.05, neg_entropy()), 3, 60)],
+        ids=["menu-n2", "entropy-n2", "entropy-n3"],
+    )
+    def test_report_matches_a_fresh_verdict(self, model, n, resolution):
+        built = construct_screening_contract(model, n=n, resolution=resolution)
+        fresh = screens(model, built.contract, n, resolution=resolution)
+        assert built.report.informed_min == pytest.approx(fresh.informed_min, abs=1e-12)
+        assert built.report.uninformed_value == pytest.approx(
+            fresh.uninformed_value, abs=1e-12
+        )
+        assert built.report.screens == fresh.screens
+        assert (built.report.n, built.report.resolution) == (n, resolution)
+        assert built.report.prior_set == fresh.prior_set
+
+    def test_violation_names_the_first_failing_ball_prior(self):
+        # The cheap experiment pays on the left of the center, not the right;
+        # the dear one pays everywhere.
+        cheap = Experiment([[0.4, 0.6], [0.9, 0.1]])
+        menu = FixedMenu(((cheap, 1.0), (fully_informative(2), 5.0)))
+        ball = ball_grid(uniform_belief(2), 0.1, 1000)
+        failing = [
+            mu for mu in ball
+            if not any(p <= 1.0 and upsilon(E, mu) > 0.2 for E, p in menu.entries)
+        ]
+        assert failing and failing[0] is not ball[0]
+        with pytest.raises(AssumptionViolated) as err:
+            construct_screening_contract(menu, (0.2, 0.1, 1.0), n=2, resolution=1000)
+        np.testing.assert_array_equal(err.value.prior.probs, failing[0].probs)
+        built = construct_screening_contract(menu, (0.2, 0.1, 5.0), n=2, resolution=1000)
+        assert built.certificate.T == 5.0
+
     def test_separable_pipeline_via_supplied_triple(self):
         model = PosteriorSeparable(0.1, neg_entropy())
         cert = assumption_probe(model, 2, eta=0.1)
@@ -264,7 +323,7 @@ class TestXiScreen:
     def test_analytic_measure_within_interval(self):
         model = PosteriorSeparable(0.01, neg_entropy())
         found = xi_screen_search(model, 0.2, n=2, samples=50_000, seed=4)
-        analytic = binary_rejection_measure(found.contract)
+        analytic = rejection_measure(found.contract, 2)
         assert abs(analytic - found.rejection) <= found.half_width
 
     def test_trivial_bound(self):
@@ -288,7 +347,35 @@ class TestXiScreen:
     def test_mc_measure_agrees_with_closed_form(self):
         contract = Contract(0.2, 1.0)
         phat, half = rejection_measure_mc(contract, 2, samples=100_000, seed=7)
-        assert abs(phat - binary_rejection_measure(contract)) <= 3.0 * max(half, 1e-4)
+        assert abs(phat - rejection_measure(contract, 2)) <= 3.0 * max(half, 1e-4)
+
+    def test_informed_worst_case_is_exactly_whole(self):
+        # The payment is the smallest one every grid prior accepts.
+        model = PosteriorSeparable(0.01, neg_entropy())
+        found = xi_screen_search(model, 0.2, n=2, samples=20_000, seed=8)
+        assert abs(found.informed_min) <= 1e-12
+        fresh = screens(model, found.contract, 2)
+        assert fresh.informed_min == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRejectionMeasure:
+    def test_two_states_is_one_minus_twice_the_payment_ratio(self):
+        rng = np.random.default_rng(9)
+        for u, d in rng.uniform(0.01, 2.0, size=(1000, 2)):
+            want = float(np.clip(1.0 - 2.0 * u / d, 0.0, 1.0))
+            assert rejection_measure(Contract(u, d), 2) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_per_state_fines_match_monte_carlo(self, n):
+        rng = np.random.default_rng(21 + n)
+        fines = rng.uniform(1.0, 3.0, size=n)
+        contract = GeneralizedContract(0.4 / np.sum(1.0 / fines), fines)
+        phat, half = rejection_measure_mc(contract, samples=400_000, seed=n)
+        assert abs(rejection_measure(contract) - phat) <= 1.5 * half
+
+    def test_generous_payment_leaves_nothing_to_reject(self):
+        assert rejection_measure(Contract(2.0, 6.0), 3) == 0.0
+        assert rejection_measure(Contract(3.0, 6.0), 3) == 0.0
 
 
 class TestUrnVariant:
