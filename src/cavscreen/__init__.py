@@ -28,6 +28,7 @@ from .errors import (
     InfeasibleBarycenter,
     InfinitePotential,
     NoFeasibleU,
+    NotCertified,
     SearchExhausted,
     ZeroProbabilitySignal,
 )

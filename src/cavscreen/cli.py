@@ -237,10 +237,14 @@ def _cmd_prop2(args) -> int:
     print(f"uninformed value at rho: {SimpleAnnouncement(contract).value(rho):.6g}")
     if "model" in cfg:
         model = cost_model_from(cfg)
-        report = screens(
-            model, contract, rho.n, resolution=resolution_from(cfg, args.grid),
-            uninformed="seu", rho=rho,
-        )
+        resolution = resolution_from(cfg, args.grid)
+        try:
+            report = screens(
+                model, contract, rho.n, resolution=resolution, uninformed="seu", rho=rho
+            )
+        except (ValueError, DimensionMismatch) as exc:
+            # The model's experiments and rho disagree on the state count.
+            raise ConfigError(str(exc)) from exc
         print(report.to_text())
         return EXIT_OK if report.screens else EXIT_INFEASIBLE
     return EXIT_OK
@@ -253,9 +257,12 @@ def _cmd_xi_screen(args) -> int:
     )
     xi = number_from(cfg, "xi", 0.1, low=0.0, high=1.0)
     n = states_from(cfg) or 2
-    found = xi_screen_search(
-        model, xi, n=n, resolution=resolution_from(cfg, args.grid), seed=args.seed
-    )
+    resolution = resolution_from(cfg, args.grid)
+    try:
+        found = xi_screen_search(model, xi, n=n, resolution=resolution, seed=args.seed)
+    except (ValueError, DimensionMismatch) as exc:
+        # The model's experiments disagree with n.
+        raise ConfigError(str(exc)) from exc
     print(f"contract: u={found.contract.u:.6g} d={found.contract.d:.6g}")
     print(
         f"rejection mass: {found.rejection:.4f} +/- {found.half_width:.4f} "

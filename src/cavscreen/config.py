@@ -33,13 +33,21 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _finite(value) -> bool:
+    """A real number (not a bool) within float range."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _require(cfg: dict, key: str, kind, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {where}.{key}")
     value = cfg[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"{where}.{key} has wrong type: {value!r}")
@@ -98,6 +106,8 @@ def contract_from(cfg: dict) -> Contract | GeneralizedContract | None:
     try:
         if "fines" in section:
             fines = _require(section, "fines", list, "contract")
+            if not all(_finite(d) for d in fines):
+                raise ConfigError(f"contract.fines must be finite, got {fines!r}")
             return GeneralizedContract(u, fines)
         d = _require(section, "d", float, "contract")
         return Contract(u, d)
@@ -115,11 +125,13 @@ def belief_from(values, where: str = "belief") -> Belief:
 
 
 def number_from(cfg: dict, key: str, default, low=-np.inf, high=np.inf, kind=float):
-    """The optional number ``key`` (``default`` if absent): a finite ``kind`` in (low, high]."""
-    value = cfg.get(key, default)
+    """The optional number ``key`` (``default`` if absent or null): a finite
+    ``kind`` in (low, high]."""
+    value = cfg.get(key)
+    if value is None:
+        value = default
     if value is not None and not (
-        isinstance(value, (int, kind)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max and low < value <= high
+        _finite(value) and isinstance(value, (int, kind)) and low < value <= high
     ):
         raise ConfigError(f"{key} must be {kind.__name__} in ({low:g}, {high:g}], got {value!r}")
     return value if value is None else kind(value)

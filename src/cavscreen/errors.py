@@ -55,3 +55,7 @@ class SearchExhausted(CavscreenError):
 
 class ConfigError(CavscreenError):
     """A scenario config file is missing, malformed, or inconsistent."""
+
+
+class NotCertified(CavscreenError):
+    """An exact solver could not certify a value within its iteration cap."""

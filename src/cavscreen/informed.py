@@ -2,8 +2,11 @@
 
 Under a fixed menu the expert picks the priced experiment (or none) with the
 best expected payoff at the induced posteriors.  Under a posterior-separable
-cost the optimal strategy concavifies the net objective V - kappa*c over a
-belief grid; the informed value is that envelope plus kappa*c at the prior.
+cost the optimal strategy concavifies the net objective V - kappa*c; the
+informed value is that envelope plus kappa*c at the prior.  For the Shannon
+cost (negative entropy) on four or more states the concavification is solved
+exactly and certified by ``shannon.solve``, with no belief grid; otherwise it
+is taken over a belief grid, which biases the value low.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostModel, FixedMenu, distribution_cost
-from .envelopes import Envelope1d, SimplexEnvelope, concavify_1d, concavify_lp
+from . import shannon
+from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
+from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_1d, concavify_lp
 from .experiments import induced_posterior_distribution
 from .simplex import Belief, PosteriorDistribution, degenerate, simplex_grid_array
 from .values import DecisionProblem
@@ -39,6 +43,12 @@ class InformedResult(NamedTuple):
     value: float
     plan: PosteriorDistribution
     cost: float
+
+
+def _exact(model: CostModel, n: int) -> bool:
+    """True where the grid-free Shannon solver prices the model: negative
+    entropy on n >= 4 states.  Fewer states stay on the grid routes."""
+    return isinstance(model, PosteriorSeparable) and model.potential == neg_entropy() and n >= 4
 
 
 def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
@@ -68,21 +78,28 @@ def informed_value(
         experiment, price = model.entries[best - 1]
         plan = induced_posterior_distribution(experiment, mu)
         return InformedResult(float(net[best]), plan, price)
-    resolution = resolution or default_resolution(mu.n)
-    grid = _grid_with(mu, resolution)
-    kappa = model.kappa
-    g = game.batch(grid) - kappa * model.potential.batch(grid)
-    if mu.n == 2:
-        env, plan = concavify_1d(grid[:, 0], g, mu[0])
+    if _exact(model, mu.n):
+        # One row of the sweep; the plan is read off the action weights.
+        P = game.u - game.fines(mu.n)
+        solution = shannon.solve(P, model.kappa, mu.probs[None, :])
+        value, plan = float(solution.values[0]), degenerate(mu)
+        if not solution.stay[0]:
+            support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
+            plan = _prune_plan(support, weights, mu)
     else:
-        env, plan = concavify_lp(grid, g, mu)
+        resolution = resolution or default_resolution(mu.n)
+        grid = _grid_with(mu, resolution)
+        kappa = model.kappa
+        g = game.batch(grid) - kappa * model.potential.batch(grid)
+        if mu.n == 2:
+            env, plan = concavify_1d(grid[:, 0], g, mu[0])
+        else:
+            env, plan = concavify_lp(grid, g, mu)
+        value = env + kappa * model.potential.value(mu)
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
-        plan = degenerate(mu)
-        cost = 0.0
-    else:
-        cost = distribution_cost(model, plan)
-    return InformedResult(env + kappa * model.potential.value(mu), plan, cost)
+        return InformedResult(value, degenerate(mu), 0.0)
+    return InformedResult(value, plan, distribution_cost(model, plan))
 
 
 def _menu_gross_sweep(game: DecisionProblem, priors: np.ndarray, experiment) -> np.ndarray:
@@ -118,14 +135,17 @@ def informed_value_sweep(
 ) -> np.ndarray:
     """Informed net value at every prior row, vectorized.
 
-    Posterior-separable models build one envelope over the grid joined with
-    the queried priors and evaluate it in batch; menus score each entry
-    against the null in closed form.
+    Menus score each entry against the null in closed form.  The Shannon
+    cost on n >= 4 states is solved exactly at each prior, and ``resolution``
+    is unused.  Other posterior-separable models build one envelope over the
+    grid joined with the queried priors and evaluate it in batch.
     """
     priors = np.asarray(priors, dtype=float)
     if isinstance(model, FixedMenu):
         return _menu_candidates(model, game, priors).max(axis=0)
     n = priors.shape[1]
+    if _exact(model, n):
+        return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
     resolution = resolution or default_resolution(n)
     grid = np.vstack([simplex_grid_array(n, resolution), priors])
     kappa = model.kappa

@@ -31,6 +31,8 @@ from .experiments import upsilon_batch
 from .informed import default_resolution, informed_value_sweep
 from .oracle import lp_maximin
 from .simplex import (
+    COORD_TOL,
+    SUM_TOL,
     Belief,
     Contract,
     GeneralizedContract,
@@ -81,6 +83,11 @@ def _state_count(model: CostModel, n: int | None) -> int | None:
     if n is None and isinstance(model, FixedMenu) and model.entries:
         return model.entries[0][0].n
     return n
+
+
+def _menu_states(model: CostModel) -> set[int]:
+    """State counts of a menu's experiments; none for other models."""
+    return {E.n for E, _ in model.entries} if isinstance(model, FixedMenu) else set()
 
 
 def _center(model: CostModel, center: Belief | None, n: int | None) -> Belief:
@@ -167,9 +174,18 @@ def screens(
             [mu.probs if isinstance(mu, Belief) else mu for mu in grid], dtype=float
         )
         prior_set = f"custom grid, {len(points)} priors"
+        if points.ndim != 2 or not len(points):
+            raise ValueError("a custom grid is a nonempty stack of prior rows")
+        if not (
+            (points >= -COORD_TOL).all() and (np.abs(points.sum(axis=1) - 1.0) <= SUM_TOL).all()
+        ):
+            raise ValueError("custom grid rows must be probability vectors")
     widths = {points.shape[1]} | ({rho.n} if uninformed == "seu" else set())
+    widths |= _menu_states(model)
     if widths != {n}:
-        raise DimensionMismatch(f"the game has n={n}, its priors or rho have {widths}")
+        raise DimensionMismatch(
+            f"the game has n={n}, its priors, rho or menu experiments have {sorted(widths)}"
+        )
     net = informed_value_sweep(model, game, points)
     if uninformed == "maximin":
         outside = uninformed_maximin(game, n).value
@@ -399,6 +415,10 @@ def xi_screen_search(
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
+    if _menu_states(model) - {n}:
+        raise DimensionMismatch(
+            f"n={n}, the menu's experiments have {sorted(_menu_states(model))} states"
+        )
     resolution = resolution or default_resolution(n)
     grid = simplex_grid_array(n, resolution)
     if isinstance(model, FixedMenu):
@@ -412,7 +432,8 @@ def xi_screen_search(
     for d in scale * np.geomspace(0.5, 512.0, _FINE_STEPS):
         worst_base = float(_net_less_payment(model, d, grid).min())
         u = max(-worst_base, 1e-4 * d)
-        if u >= d / n:
+        if not u < d / n:
+            # No payment below the rejection bound (or none at all).
             continue
         phat = float((min_draw > u / d).mean())
         half = _Z95 * float(np.sqrt(phat * (1.0 - phat) / samples))

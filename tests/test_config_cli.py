@@ -218,6 +218,11 @@ class TestProp2Command:
 
 
 class TestXiScreenCommand:
+    def test_null_fields_take_their_defaults(self, capsys, tmp_path):
+        path = write(tmp_path, "xi.yaml", "xi: null\nn: null\nresolution: 20\n")
+        assert cli.main(["xi-screen", "--config", path]) == 0
+        assert "target >= 0.9000" in capsys.readouterr().out
+
     def test_default_model_search(self, capsys, tmp_path):
         path = write(tmp_path, "xi.yaml", "xi: 0.5\n")
         code = cli.main(["xi-screen", "--config", path])
@@ -275,6 +280,17 @@ class TestErrorPaths:
             pytest.param("prop2", "rho: [0.25, 0.75]\nd_last: heavy\n", id="d-last-not-a-number"),
             pytest.param("prop2", "rho: [0.25, 0.75]\nu: -1.0\n", id="negative-payment"),
             pytest.param("figure", "priors: 0.5\n", id="priors-not-a-list"),
+            pytest.param(
+                "screen", "model:\n  kappa: .inf\ncontract:\n  u: 0.1\n  d: 1.0\nn: 2\n",
+                id="kappa-infinite",
+            ),
+            pytest.param(
+                "xi-screen", "model:\n  kappa: " + "9" * 400 + "\n", id="kappa-beyond-float-range"
+            ),
+            pytest.param(
+                "screen", "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  fines: [1.0, .nan]\n",
+                id="fine-not-a-number",
+            ),
         ],
     )
     def test_malformed_screen_configs_are_config_errors(
@@ -283,6 +299,20 @@ class TestErrorPaths:
         path = write(tmp_path, "bad.yaml", text)
         assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["prop2", "screen"])
+    def test_menu_off_the_state_count_is_a_config_error(self, capsys, tmp_path, command):
+        # A menu of three-state experiments against a two-state rho and n.
+        menu = (
+            "model:\n  kind: fixed-menu\n  menu:\n    - price: 0.1\n      likelihoods:\n"
+            "        - [0.8, 0.2]\n        - [0.5, 0.5]\n        - [0.2, 0.8]\n"
+        )
+        path = write(tmp_path, "menu3.yaml", menu + "contract:\n  u: 0.2\n  d: 1.0\n"
+                     "rho: [0.25, 0.75]\nn: 2\n")
+        assert cli.main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "n=2" in err and "3" in err
 
     def test_missing_state_count_is_named(self, capsys):
         code = cli.main(["screen", "--config", str(CONFIG_DIR / "figure_free_learning.yaml")])

@@ -154,6 +154,33 @@ class TestScreens:
         with pytest.raises(DimensionMismatch):
             screens(model, contract, 3, grid=[belief2(0.5)])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0.5, 0.6, -0.1], [1 / 3, 1 / 3, 1 / 3]],
+            [[0.5, 0.5, 0.3], [1 / 3, 1 / 3, 1 / 3]],
+            [[np.nan, 0.5, 0.5]],
+            [0.5, 0.25, 0.25],
+            [],
+        ],
+        ids=["negative", "sums-to-1.3", "nan", "one-row-not-a-stack", "empty"],
+    )
+    def test_custom_grid_rows_must_be_probability_vectors(self, grid):
+        model = PosteriorSeparable(0.1, neg_entropy())
+        with pytest.raises(ValueError):
+            screens(model, Contract(0.3, 1.0), 3, grid=grid)
+
+    def test_menu_experiments_must_match_the_state_count(self):
+        three = Experiment([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]])
+        menu = FixedMenu(((three, 0.1),))
+        with pytest.raises(DimensionMismatch, match=r"n=2.*\[2, 3\]"):
+            screens(menu, Contract(0.2, 1.0), 2)
+        with pytest.raises(DimensionMismatch, match=r"n=2.*\[2, 3\]"):
+            screens(menu, prop2_contract(belief2(0.25), 0.2, 1.0), 2,
+                    uninformed="seu", rho=belief2(0.25))
+        with pytest.raises(DimensionMismatch, match="n=2"):
+            xi_screen_search(menu, 0.5, n=2, resolution=10)
+
     def test_custom_grid_descriptor(self):
         grid = ball_grid(belief2(0.5), 0.05, 100)
         report = screens(worked_menu(), worked_contract(), 2, grid=grid)
