@@ -153,7 +153,11 @@ def _cmd_figure(args) -> int:
         print(f"designed contract: u={contract.u:.6g} d={contract.d:.6g}")
     priors = priors_from(cfg, (0.47, 0.50, 0.53))
     resolution = resolution_from(cfg, args.grid) or 1000
-    traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
+    try:
+        traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
+    except ValueError as exc:
+        # The grid is too large to build.
+        raise ConfigError(str(exc)) from exc
     for k, p in enumerate(traces.priors):
         plan = traces.plans[k]
         how = (

@@ -6,11 +6,14 @@ Two constructions back every optimal-learning computation:
   two-state problems.  Exact on the grid, O(N) to build, O(log N) per query.
 * ``SimplexEnvelope``: the lifted convex hull of grid samples for n >= 3,
   evaluated as a minimum over upper-facet planes.  Built once per objective,
-  it answers whole-grid sweeps in vectorized batches.
+  it answers whole-grid sweeps in vectorized batches, and ``split`` reads a
+  single prior's plan off the upper facet above it.
 
 ``concavify_lp`` solves the defining linear program, in dual form.  It is
-dimension-agnostic, returns a basic optimal plan with at most n support
-points, and doubles as the independent check on both hull constructions.
+dimension-agnostic and returns a basic optimal plan with at most n support
+points.  It answers single grid priors on n >= 4 states, where it is faster
+than building the hull, and it is the independent check on both hull
+constructions.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from .errors import EmptyGrid, InfeasibleBarycenter
-from .simplex import Belief, PosteriorDistribution, belief2
+from .simplex import COORD_TOL, Belief, PosteriorDistribution, belief2, degenerate
 
 # Weights below this are dropped from returned plans.
 _WEIGHT_TOL = 1e-12
@@ -204,6 +207,9 @@ class SimplexEnvelope:
             raise RuntimeError("degenerate hull: no upward-facing facets")
         # Plane form f(x) = alpha @ x_free + beta per upper facet.
         normals = eq[up]
+        # Vertex rows of each upper facet; none is the anchor, which lies
+        # below the mean of the samples and so below every upper plane.
+        self._facets = hull.simplices[up]
         self._alpha = -normals[:, : self.n - 1] / normals[:, self.n - 1 : self.n]
         self._beta = -normals[:, -1] / normals[:, self.n - 1]
 
@@ -219,3 +225,32 @@ class SimplexEnvelope:
 
     def value(self, mu: Belief) -> float:
         return float(self.values(mu.probs[None, :])[0])
+
+    def split(self, mu: Belief) -> tuple[float, PosteriorDistribution]:
+        """Envelope value at mu and an optimal plan on at most n grid points:
+        mu's barycentric weights on the vertices of the upper facet above it.
+
+        Ties break toward no learning, as in ``concavify_lp``.  Of the facets
+        whose plane is tight at mu, the one whose smallest weight is largest
+        carries the plan.
+        """
+        value = self.value(mu)
+        tol = _CONTACT_TOL * (1.0 + abs(value))
+        diffs = np.abs(self.points - mu.probs).max(axis=1)
+        at_query = int(diffs.argmin())
+        if diffs[at_query] <= _WEIGHT_TOL and self.fs[at_query] >= value - tol:
+            return value, degenerate(mu)
+        tight = self._facets[self._alpha @ mu.probs[: self.n - 1] + self._beta <= value + tol]
+        # corners[k] holds facet k's vertices as columns; solve corners @ w = mu.
+        # qhull's triangulated output may hold zero-area facets; skip them.
+        corners = np.swapaxes(self.points[tight], 1, 2)
+        flat = np.linalg.det(corners) == 0.0
+        corners, tight = corners[~flat], tight[~flat]
+        if not tight.size:
+            raise InfeasibleBarycenter(f"{mu} lies under no upper facet of the envelope")
+        rhs = np.broadcast_to(mu.probs, tight.shape)[..., None]
+        weights = np.linalg.solve(corners, rhs)[..., 0]
+        best = int(weights.min(axis=1).argmax())
+        if weights[best].min() < -COORD_TOL:
+            raise InfeasibleBarycenter(f"{mu} lies outside the grid's convex hull")
+        return value, _prune_plan(self.points[tight[best]], weights[best], mu)

@@ -58,6 +58,16 @@ def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
     return grid
 
 
+def _samples(
+    model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice stacked with the queried priors, and the objective
+    V - kappa*c sampled on it."""
+    n = priors.shape[1]
+    grid = np.vstack([simplex_grid_array(n, resolution or default_resolution(n)), priors])
+    return grid, game.batch(grid) - model.kappa * model.potential.batch(grid)
+
+
 def informed_value(
     model: CostModel,
     game: DecisionProblem,
@@ -68,6 +78,8 @@ def informed_value(
     posterior plan that attains it and the learning cost it incurs.
 
     Ties between learning and not learning resolve toward not learning.
+    Menus, the Shannon cost on n >= 4 states and every cost on three states
+    give one row of ``informed_value_sweep``, bit for bit.
     """
     if isinstance(model, FixedMenu):
         # One row of the sweep; argmax keeps the first best, so ties stay put.
@@ -86,6 +98,11 @@ def informed_value(
         if not solution.stay[0]:
             support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
             plan = _prune_plan(support, weights, mu)
+    elif mu.n == 3:
+        # One row of the sweep; the plan is read off the facet above mu.
+        priors = mu.probs[None, :]
+        env, plan = SimplexEnvelope(*_samples(model, game, priors, resolution)).split(mu)
+        value = float((env + model.kappa * model.potential.batch(priors))[0])
     else:
         resolution = resolution or default_resolution(mu.n)
         grid = _grid_with(mu, resolution)
@@ -146,12 +163,9 @@ def informed_value_sweep(
     n = priors.shape[1]
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
-    resolution = resolution or default_resolution(n)
-    grid = np.vstack([simplex_grid_array(n, resolution), priors])
-    kappa = model.kappa
-    g = game.batch(grid) - kappa * model.potential.batch(grid)
+    grid, g = _samples(model, game, priors, resolution)
     if n == 2:
         env = Envelope1d(grid[:, 0], g).values(priors[:, 0])
     else:
         env = SimplexEnvelope(grid, g).values(priors)
-    return env + kappa * model.potential.batch(priors)
+    return env + model.kappa * model.potential.batch(priors)

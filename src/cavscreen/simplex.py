@@ -17,6 +17,9 @@ from .errors import DimensionMismatch, EmptySupport
 # comparisons elsewhere use 1e-6.
 SUM_TOL = 1e-9
 COORD_TOL = 1e-12
+# Most coordinates (points times states) simplex_grid_array builds: 48 MB of
+# floats, or 2,000,000 points at n = 3, where the default grid has 20,301.
+GRID_CAP = 6_000_000
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -182,11 +185,22 @@ def barycenter(F: PosteriorDistribution) -> Belief:
 
 def simplex_grid_array(n: int, resolution: int) -> np.ndarray:
     """(N, n) array of all beliefs whose coordinates are multiples of
-    1/resolution, enumerated in lexicographic order. N = C(resolution+n-1, n-1)."""
+    1/resolution, enumerated in lexicographic order. N = C(resolution+n-1, n-1).
+
+    Raises ValueError, before allocating, when N * n exceeds ``GRID_CAP``."""
     if n < 2:
         raise ValueError("need n >= 2 states")
     if resolution < 2:
         raise ValueError("need resolution >= 2")
+    # N accumulates as C(resolution+k, k), k < n, and stops once past the cap.
+    points = 1
+    for k in range(1, n):
+        points = points * (resolution + k) // k
+        if points * n > GRID_CAP:
+            raise ValueError(
+                f"a grid of resolution {resolution} on {n} states exceeds "
+                f"{GRID_CAP:,} coordinates"
+            )
     # Stars and bars: divider positions among resolution + n - 1 slots.
     combos = np.array(
         list(itertools.combinations(range(resolution + n - 1), n - 1)), dtype=int

@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,34 @@ class TestErrorPaths:
     ):
         code = cli.main([command, "--config", str(config), "--out", str(tmp_path)])
         assert code in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "command, text, grid",
+        [
+            pytest.param("screen", ENTROPY_SCREEN + "n: 3\n", "100000", id="grid-1e5-at-n3"),
+            pytest.param("screen", ENTROPY_SCREEN + "n: 1000\n", None, id="n-1000"),
+            pytest.param("xi-screen", "n: 3\n", "100000", id="xi-screen-grid-1e5"),
+            pytest.param("prop2", "model:\n  kappa: 0.1\nrho: [0.2, 0.3, 0.5]\n", "100000",
+                         id="prop2-grid-1e5"),
+            pytest.param("figure", "", "10000000", id="figure-grid-1e7"),
+        ],
+    )
+    def test_grid_too_large_to_build_is_a_config_error(
+        self, capsys, monkeypatch, tmp_path, command, text, grid
+    ):
+        # Lattices are enumerated through itertools.combinations; a call on
+        # the oversized one would mean the size check came too late.
+        combinations = itertools.combinations
+
+        def refuse(pool, k):
+            assert len(pool) <= 10_000, "oversized grid enumeration started"
+            return combinations(pool, k)
+
+        monkeypatch.setattr("cavscreen.simplex.itertools.combinations", refuse)
+        argv = [command, "--config", write(tmp_path, "big.yaml", text), "--out", str(tmp_path)]
+        assert cli.main(argv + (["--grid", grid] if grid else [])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "coordinates" in err
 
     def test_acceptance_exit_codes(self, capsys, monkeypatch):
         from cavscreen.acceptance import CriterionResult

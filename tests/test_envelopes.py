@@ -171,3 +171,34 @@ class TestSimplexEnvelope:
         fs = rng.uniform(-1.0, 1.0, size=len(grid))
         env = SimplexEnvelope(grid, fs)
         np.testing.assert_array_less(fs - 1e-9, env.values(grid))
+
+    def test_split_matches_lp_and_attains_its_value(self):
+        rng = np.random.default_rng(48)
+        grid = simplex_grid_array(3, 12)
+        on_grid = grid[rng.choice(len(grid), size=6, replace=False)]
+        queries = np.vstack(
+            [rng.dirichlet(np.ones(3), size=10), on_grid, [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]]
+        )
+        random_fs = rng.uniform(-1.0, 1.0, size=len(grid))
+        affine_fs = grid @ np.array([0.3, -1.2, 0.7]) + 0.1
+        for fs in (random_fs, affine_fs):
+            env = SimplexEnvelope(grid, fs)
+            for q in queries:
+                value, plan = env.split(Belief(q))
+                want, _ = concavify_lp(grid, fs, Belief(q))
+                assert abs(value - want) <= 1e-12
+                assert len(plan) <= 3
+                np.testing.assert_allclose(barycenter(plan).probs, q, atol=1e-12)
+                rows = [int(np.abs(grid - b.probs).max(axis=1).argmin()) for b in plan.support]
+                assert float(plan.weights @ fs[rows]) == pytest.approx(value, abs=1e-12)
+            # An affine objective is its own envelope: grid priors stay put.
+            if fs is affine_fs:
+                for q in on_grid:
+                    assert env.split(Belief(q))[1].is_degenerate()
+
+    def test_split_outside_the_grid_hull(self):
+        grid = simplex_grid_array(3, 10)
+        inner = grid[grid.min(axis=1) >= 0.2]
+        env = SimplexEnvelope(inner, np.zeros(len(inner)))
+        with pytest.raises(InfeasibleBarycenter):
+            env.split(Belief([1.0, 0.0, 0.0]))

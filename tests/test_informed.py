@@ -5,6 +5,9 @@ import pytest
 
 from cavscreen import (
     Belief,
+    UrnDraw,
+    barycenter,
+    quadratic,
     Contract,
     FixedMenu,
     GeneralizedContract,
@@ -20,6 +23,7 @@ from cavscreen import (
     symmetric_binary,
     uniform_belief,
 )
+from cavscreen import envelopes
 from cavscreen.acceptance import worked_contract, worked_menu
 
 
@@ -145,6 +149,56 @@ class TestSweep:
         kc = model.kappa * neg_entropy().batch(grid[order])
         core = net[order] - kc
         assert (core[1:-1] >= 0.5 * (core[:-2] + core[2:]) - 1e-9).all()
+
+
+THREE_STATE_GAMES = {
+    "rule-out": (PosteriorSeparable(0.3, neg_entropy()), SimpleAnnouncement(Contract(0.3, 1.0))),
+    "per-state-fines": (
+        PosteriorSeparable(0.05, neg_entropy()),
+        SimpleAnnouncement(GeneralizedContract(0.5, (2.0, 1.0, 0.7))),
+    ),
+    "urn": (PosteriorSeparable(0.01, neg_entropy()), UrnDraw(Contract(0.03, 0.1))),
+    "quadratic": (PosteriorSeparable(0.5, quadratic()), SimpleAnnouncement(Contract(0.4, 1.1))),
+}
+# Vertices, an edge prior on and off the resolution-40 lattice, an interior
+# lattice point and two interior priors between lattice points.
+THREE_STATE_PRIORS = (
+    (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 0.0), (0.123, 0.0, 0.877),
+    (0.25, 0.5, 0.25), (0.2113, 0.3359, 0.4528), (0.6021, 0.1287, 0.2692),
+)
+
+
+class TestThreeStatePoints:
+    @pytest.mark.parametrize("name", THREE_STATE_GAMES)
+    def test_point_is_one_row_of_the_sweep(self, name):
+        model, game = THREE_STATE_GAMES[name]
+        for probs in THREE_STATE_PRIORS:
+            mu = Belief(probs)
+            res = informed_value(model, game, mu, resolution=40)
+            assert res.value == informed_value_sweep(model, game, mu.probs[None], resolution=40)[0]
+            plan = res.plan
+            assert len(plan) <= 3
+            np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
+            assert res.cost == distribution_cost(model, plan)
+            achieved = float(plan.weights @ game.batch(plan.support_matrix)) - res.cost
+            assert abs(achieved - res.value) <= 1e-9 * (1.0 + abs(res.value))
+
+
+class TestRoutes:
+    def test_only_four_or_more_states_reach_the_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the concavification LP was called")
+
+        monkeypatch.setattr(envelopes, "linprog", no_lp)
+        model = PosteriorSeparable(0.05, neg_entropy())
+        mu = Belief((0.2, 0.3, 0.5))
+        for game in (SimpleAnnouncement(Contract(0.3, 1.0)), UrnDraw(Contract(0.03, 0.1))):
+            assert not informed_value(model, game, mu).plan.is_degenerate()
+        with pytest.raises(AssertionError, match="LP was called"):
+            informed_value(
+                PosteriorSeparable(0.5, quadratic()), SimpleAnnouncement(Contract(0.3, 1.0)),
+                Belief((0.1, 0.2, 0.3, 0.4)), resolution=8,
+            )
 
 
 class TestDefaults:

@@ -147,6 +147,22 @@ class TestSimplexGrid:
         for v in np.eye(3):
             assert (np.abs(grid - v).sum(axis=1) < 1e-12).any()
 
+    @pytest.mark.parametrize("n,r", [(3, 100_000), (1000, 2), (10**9, 2), (2, 10**18)])
+    def test_too_large_is_rejected_before_enumeration(self, monkeypatch, n, r):
+        def refuse(*args):
+            raise AssertionError("grid enumeration started")
+
+        monkeypatch.setattr("cavscreen.simplex.itertools.combinations", refuse)
+        with pytest.raises(ValueError, match="coordinates"):
+            simplex_grid_array(n, r)
+
+    def test_cap_counts_coordinates(self, monkeypatch):
+        # C(5, 2) = 10 points of 3 coordinates fill a cap of 30 exactly.
+        monkeypatch.setattr("cavscreen.simplex.GRID_CAP", 30)
+        assert simplex_grid_array(3, 3).shape == (10, 3)
+        with pytest.raises(ValueError):
+            simplex_grid_array(3, 4)
+
     def test_coordinates_are_lattice_multiples(self):
         grid = simplex_grid_array(3, 8)
         np.testing.assert_allclose(grid * 8, np.round(grid * 8), atol=1e-9)
