@@ -144,7 +144,8 @@ def states_from(cfg: dict) -> int | None:
 
 def resolution_from(cfg: dict, grid: int | None = None) -> int | None:
     """The optional grid resolution, ``grid`` (--grid) if set, else ``resolution``."""
-    return number_from({"resolution": grid} if grid else cfg, "resolution", None, low=1, kind=int)
+    source = cfg if grid is None else {"resolution": grid}
+    return number_from(source, "resolution", None, low=1, kind=int)
 
 
 def priors_from(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -176,8 +177,8 @@ def assumption_from(cfg: dict) -> tuple[float, float, float] | None:
     return tuple(_require(section, key, float, "assumption") for key in keys)
 
 
-def ball_from(cfg: dict, resolution: int | None) -> list[Belief] | None:
-    """Lattice priors of the optional ``ball`` section around its center."""
+def ball_from(cfg: dict, resolution: int | None) -> np.ndarray | None:
+    """(k, n) lattice priors of the optional ``ball`` section around its center."""
     section = cfg.get("ball")
     if section is None:
         return None

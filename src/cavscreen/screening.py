@@ -211,23 +211,22 @@ class AssumptionCertificate:
     resolution: int
 
 
-def _ball_options(model: CostModel, ball: list[Belief]) -> tuple[np.ndarray, np.ndarray]:
-    """(options, priors) tables of improvement and price at the ball priors.
+def _ball_options(model: CostModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(options, priors) tables of improvement and price at the ball's prior rows.
 
     Option 0 is not learning: no improvement, no price.  A menu adds its
     entries.  A posterior-separable model adds full revelation, which improves
     by the smallest prior probability and costs the potential's rise from the
     prior to the vertices.
     """
-    points = np.array([mu.probs for mu in ball])
     if isinstance(model, FixedMenu):
         gain = [upsilon_batch(E, points) for E, _ in model.entries]
-        price = [np.full(len(ball), p) for _, p in model.entries]
+        price = [np.full(len(points), p) for _, p in model.entries]
     else:
         vertex_cost = model.potential.batch(np.eye(points.shape[1]))
         gain = [points.min(axis=1)]
         price = [model.kappa * (points @ vertex_cost - model.potential.batch(points))]
-    zero = np.zeros(len(ball))
+    zero = np.zeros(len(points))
     return np.array([zero] + gain), np.array([zero] + price)
 
 
@@ -309,7 +308,7 @@ def construct_screening_contract(
         if not ok.all():
             raise AssumptionViolated(
                 f"no plan improves by more than {epsilon:.6g} at cost <= {T:.6g}",
-                prior=ball[int(ok.argmin())],
+                prior=Belief(ball[int(ok.argmin())]),
             )
         certificate = AssumptionCertificate(epsilon, T, center, eta, norm, resolution)
     else:

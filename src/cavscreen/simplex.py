@@ -6,7 +6,6 @@ parallel workers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,19 +200,19 @@ def simplex_grid_array(n: int, resolution: int) -> np.ndarray:
                 f"a grid of resolution {resolution} on {n} states exceeds "
                 f"{GRID_CAP:,} coordinates"
             )
-    # Stars and bars: divider positions among resolution + n - 1 slots.
-    combos = np.array(
-        list(itertools.combinations(range(resolution + n - 1), n - 1)), dtype=int
-    )
-    bounded = np.hstack(
-        [
-            np.full((combos.shape[0], 1), -1),
-            combos,
-            np.full((combos.shape[0], 1), resolution + n - 1),
-        ]
-    )
-    counts = np.diff(bounded, axis=1) - 1
-    return counts / float(resolution)
+    return _lattice_counts(n, resolution) / float(resolution)
+
+
+def _lattice_counts(n: int, resolution: int) -> np.ndarray:
+    """(N, n) integer rows summing to resolution, in lexicographic order: each pass fans
+    a partial row out over every count its next coordinate can take; the last is the rest."""
+    rows, left = np.zeros((1, 0), dtype=int), np.array([resolution])
+    for _ in range(n - 1):
+        fan = left + 1
+        count = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows = np.column_stack([np.repeat(rows, fan, axis=0), count])
+        left = np.repeat(left, fan) - count
+    return np.column_stack([rows, left])
 
 
 def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
@@ -227,8 +226,8 @@ def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
 
 def ball_grid(
     center: Belief, eta: float, resolution: int, norm: str = "euclidean"
-) -> list[Belief]:
-    """Lattice points within distance eta of center.
+) -> np.ndarray:
+    """(k, n) lattice rows within distance eta of center, in lattice order.
 
     The norm is measured on the full coordinate vector; never empty (the
     nearest lattice point to the center is always included).
@@ -240,4 +239,4 @@ def ball_grid(
     inside = dist <= eta
     if not inside.any():
         inside[int(dist.argmin())] = True
-    return [Belief(row) for row in pts[inside]]
+    return pts[inside]

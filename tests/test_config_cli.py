@@ -1,12 +1,13 @@
 """Configuration parsing and the command-line front end."""
 
-import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavscreen.cli as cli
+import cavscreen.simplex as simplex
 from cavscreen import ConfigError, FixedMenu, PosteriorSeparable, degenerate, belief2
 from cavscreen.config import belief_from, contract_from, cost_model_from, load_config
 from cavscreen.costs import distribution_cost
@@ -342,19 +343,35 @@ class TestErrorPaths:
     def test_grid_too_large_to_build_is_a_config_error(
         self, capsys, monkeypatch, tmp_path, command, text, grid
     ):
-        # Lattices are enumerated through itertools.combinations; a call on
+        # Lattices are enumerated through simplex._lattice_counts; a call on
         # the oversized one would mean the size check came too late.
-        combinations = itertools.combinations
+        counts = simplex._lattice_counts
 
-        def refuse(pool, k):
-            assert len(pool) <= 10_000, "oversized grid enumeration started"
-            return combinations(pool, k)
+        def refuse(n, resolution):
+            rows = math.comb(resolution + n - 1, n - 1)
+            assert rows <= 10_000, "oversized grid enumeration started"
+            return counts(n, resolution)
 
-        monkeypatch.setattr("cavscreen.simplex.itertools.combinations", refuse)
+        monkeypatch.setattr(simplex, "_lattice_counts", refuse)
         argv = [command, "--config", write(tmp_path, "big.yaml", text), "--out", str(tmp_path)]
         assert cli.main(argv + (["--grid", grid] if grid else [])) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "coordinates" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("screen", ENTROPY_SCREEN + "n: 2\n", id="screen"),
+            pytest.param("prop2", "model:\n  kappa: 0.1\nrho: [0.25, 0.75]\n", id="prop2"),
+            pytest.param("xi-screen", "", id="xi-screen"),
+            pytest.param("figure", "", id="figure"),
+        ],
+    )
+    def test_grid_zero_is_a_config_error(self, capsys, tmp_path, command, text):
+        # --grid 0 sets a resolution of 0; it must not fall back to the default.
+        argv = [command, "--config", write(tmp_path, "cfg.yaml", text), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--grid", "0"]) == 3
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_acceptance_exit_codes(self, capsys, monkeypatch):
         from cavscreen.acceptance import CriterionResult

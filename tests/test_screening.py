@@ -284,13 +284,14 @@ class TestConstruction:
         menu = FixedMenu(((cheap, 1.0), (fully_informative(2), 5.0)))
         ball = ball_grid(uniform_belief(2), 0.1, 1000)
         failing = [
-            mu for mu in ball
-            if not any(p <= 1.0 and upsilon(E, mu) > 0.2 for E, p in menu.entries)
+            k for k, row in enumerate(ball)
+            if not any(p <= 1.0 and upsilon(E, Belief(row)) > 0.2 for E, p in menu.entries)
         ]
-        assert failing and failing[0] is not ball[0]
+        assert failing and failing[0] > 0
         with pytest.raises(AssumptionViolated) as err:
             construct_screening_contract(menu, (0.2, 0.1, 1.0), n=2, resolution=1000)
-        np.testing.assert_array_equal(err.value.prior.probs, failing[0].probs)
+        assert isinstance(err.value.prior, Belief)
+        np.testing.assert_array_equal(err.value.prior.probs, ball[failing[0]])
         built = construct_screening_contract(menu, (0.2, 0.1, 5.0), n=2, resolution=1000)
         assert built.certificate.T == 5.0
 

@@ -1,5 +1,6 @@
 """Belief, contract, and posterior-distribution primitives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,17 @@ from cavscreen import (
     simplex_grid_array,
     uniform_belief,
 )
+from cavscreen.informed import default_resolution
+
+
+def stars_and_bars(n, resolution):
+    """The lattice by divider positions among resolution + n - 1 slots, in
+    itertools order: the reference enumeration."""
+    slots = resolution + n - 1
+    combos = np.array(list(itertools.combinations(range(slots), n - 1)), dtype=int)
+    ends = np.full((len(combos), 1), slots)
+    bounded = np.hstack([np.full_like(ends, -1), combos, ends])
+    return (np.diff(bounded, axis=1) - 1) / float(resolution)
 
 
 class TestBelief:
@@ -152,9 +164,15 @@ class TestSimplexGrid:
         def refuse(*args):
             raise AssertionError("grid enumeration started")
 
-        monkeypatch.setattr("cavscreen.simplex.itertools.combinations", refuse)
+        monkeypatch.setattr("cavscreen.simplex._lattice_counts", refuse)
         with pytest.raises(ValueError, match="coordinates"):
             simplex_grid_array(n, r)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("r", [2, 7, "default"])
+    def test_matches_stars_and_bars_bit_for_bit(self, n, r):
+        r = default_resolution(n) if r == "default" else r
+        assert np.array_equal(simplex_grid_array(n, r), stars_and_bars(n, r))
 
     def test_cap_counts_coordinates(self, monkeypatch):
         # C(5, 2) = 10 points of 3 coordinates fill a cap of 30 exactly.
@@ -183,8 +201,8 @@ class TestBallGrid:
 
     def test_tight_ball_keeps_only_center(self):
         ball = ball_grid(uniform_belief(3), 0.01, 3)
-        assert len(ball) == 1
-        np.testing.assert_allclose(ball[0].probs, 1.0 / 3.0, atol=1e-12)
+        assert ball.shape == (1, 3)
+        np.testing.assert_allclose(ball[0], 1.0 / 3.0, atol=1e-12)
 
     def test_sup_norm_option_is_wider_on_the_line(self):
         eucl = ball_grid(belief2(0.5), 0.05, 100)
