@@ -35,12 +35,9 @@ from .errors import (
 from .experiments import (
     Experiment,
     fully_informative,
-    garble,
     induced_posterior_distribution,
-    is_delta_valuable,
     null_experiment,
     posterior,
-    signal_marginal,
     symmetric_binary,
     upsilon,
     upsilon_batch,
@@ -52,16 +49,13 @@ from .informed import (
     informed_value_sweep,
 )
 from .oracle import (
-    ConvexityReport,
     MaximinSolution,
     brute_force_two_point_search,
-    convexity_probe,
     lp_maximin,
 )
 from .screening import (
     AssumptionCertificate,
     Construction,
-    MaximinResult,
     ScreeningReport,
     XiScreenResult,
     assumption_probe,
@@ -69,7 +63,6 @@ from .screening import (
     design_binary_contract,
     prop2_contract,
     rejection_measure,
-    rejection_measure_mc,
     screens,
     uninformed_maximin,
     xi_screen_search,
@@ -77,13 +70,10 @@ from .screening import (
 from .simplex import (
     Belief,
     Contract,
-    GeneralizedContract,
     PosteriorDistribution,
     ball_grid,
-    barycenter,
     belief2,
     degenerate,
-    min_prob,
     simplex_grid_array,
     uniform_belief,
 )

@@ -28,7 +28,7 @@ from .screening import (
     uninformed_maximin,
     xi_screen_search,
 )
-from .simplex import Belief, Contract, GeneralizedContract, belief2, simplex_grid_array
+from .simplex import Belief, Contract, belief2, simplex_grid_array
 from .traces import binary_figure_traces
 from .values import SimpleAnnouncement, UrnDraw
 
@@ -312,7 +312,7 @@ def criterion_maximin_closed_form() -> CriterionResult:
             n = int(rng.integers(2, 7))
             d = rng.uniform(0.2, 8.0, size=n)
             u = float(rng.uniform(0.1, 5.0))
-            closed = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(u, d))).value
+            closed = uninformed_maximin(SimpleAnnouncement(Contract(u, d))).value
             payoffs = u - np.diag(d)
             lp = lp_maximin(payoffs).value
             worst = max(worst, abs(closed - lp))

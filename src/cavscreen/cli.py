@@ -155,8 +155,8 @@ def _cmd_figure(args) -> int:
     resolution = resolution_from(cfg, args.grid) or 1000
     try:
         traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
-    except ValueError as exc:
-        # The grid is too large to build.
+    except (ValueError, DimensionMismatch) as exc:
+        # The grid is too large to build, or the contract has other than two fines.
         raise ConfigError(str(exc)) from exc
     for k, p in enumerate(traces.priors):
         plan = traces.plans[k]

@@ -15,7 +15,7 @@ from .costs import CostModel, FixedMenu, Potential, PosteriorSeparable, potentia
 from .errors import ConfigError
 from .experiments import Experiment
 from .informed import default_resolution
-from .simplex import Belief, Contract, GeneralizedContract, ball_grid
+from .simplex import Belief, Contract, ball_grid
 
 
 def load_config(path: str) -> dict:
@@ -95,7 +95,7 @@ def cost_model_from(cfg: dict) -> CostModel:
     raise ConfigError(f"unknown model.kind {kind!r}")
 
 
-def contract_from(cfg: dict) -> Contract | GeneralizedContract | None:
+def contract_from(cfg: dict) -> Contract | None:
     """Build a contract from the optional ``contract`` section."""
     section = cfg.get("contract")
     if section is None:
@@ -108,9 +108,8 @@ def contract_from(cfg: dict) -> Contract | GeneralizedContract | None:
             fines = _require(section, "fines", list, "contract")
             if not all(_finite(d) for d in fines):
                 raise ConfigError(f"contract.fines must be finite, got {fines!r}")
-            return GeneralizedContract(u, fines)
-        d = _require(section, "d", float, "contract")
-        return Contract(u, d)
+            return Contract(u, fines)
+        return Contract(u, _require(section, "d", float, "contract"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -29,11 +29,6 @@ class Potential:
         pts = x.probs if isinstance(x, Belief) else np.asarray(x, dtype=float)
         return float(self.batch(pts[None, :])[0])
 
-    def shifted(self, constant: float) -> "Potential":
-        return Potential(
-            f"{self.name}+{constant:g}", lambda pts: self.batch(pts) + constant
-        )
-
 
 def _neg_entropy_batch(pts: np.ndarray) -> np.ndarray:
     # 0 * ln 0 = 0 so full revelation stays finite.

@@ -1,19 +1,23 @@
 """Upper concave envelopes of sampled objectives on belief grids.
 
-Two constructions back every optimal-learning computation:
+Two constructions back every grid-priced informed value:
 
-* ``Envelope1d``: an upper-hull scan over sorted (x, f(x)) samples for
-  two-state problems.  Exact on the grid, O(N) to build, O(log N) per query.
+* ``Envelope1d``: an upper-hull scan over (x, f(x)) samples for two-state
+  problems.  Exact on the grid, and O(N) to build on sorted samples.
 * ``SimplexEnvelope``: the lifted convex hull of grid samples for n >= 3,
-  evaluated as a minimum over upper-facet planes.  Built once per objective,
-  it answers whole-grid sweeps in vectorized batches, and ``split`` reads a
-  single prior's plan off the upper facet above it.
+  evaluated as a minimum over upper-facet planes.
+
+Each is built once per objective and shares one interface: ``values``
+answers whole-grid sweeps in vectorized batches, and ``split`` takes a
+``Belief`` and returns the envelope value there with an optimal plan on the
+hull vertices around it, ties going to staying put.  A single prior is
+therefore one row of a sweep.
 
 ``concavify_lp`` solves the defining linear program, in dual form.  It is
 dimension-agnostic and returns a basic optimal plan with at most n support
-points.  It answers single grid priors on n >= 4 states, where it is faster
-than building the hull, and it is the independent check on both hull
-constructions.
+points.  It answers single priors on n >= 4 states under potentials other
+than negative entropy, where it is faster than building the hull, and it is
+the independent check on both hull constructions.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ _CHUNK = 512
 
 
 class Envelope1d:
-    """Upper concave envelope of f sampled on a sorted grid over [0, 1]."""
+    """Upper concave envelope of f sampled at points x of [0, 1], the first
+    coordinate of a two-state belief.  Samples may come in any order; of
+    samples at one x, the best counts."""
 
     def __init__(self, xs, fs):
         xs = np.asarray(xs, dtype=float)
@@ -47,16 +53,9 @@ class Envelope1d:
         if xs.size >= 2 and not (np.diff(xs) > 0).all():
             order = np.argsort(xs, kind="stable")
             xs, fs = xs[order], fs[order]
-            if not (np.diff(xs) > 0).all():
-                # Duplicate abscissae: keep the best sample at each point.
-                keep_x, keep_f = [xs[0]], [fs[0]]
-                for x, f in zip(xs[1:], fs[1:]):
-                    if x == keep_x[-1]:
-                        keep_f[-1] = max(keep_f[-1], f)
-                    else:
-                        keep_x.append(x)
-                        keep_f.append(f)
-                xs, fs = np.array(keep_x), np.array(keep_f)
+            # The first sample of each run of equal x, and the best of the run.
+            starts = np.flatnonzero(np.diff(xs, prepend=-np.inf) > 0)
+            xs, fs = xs[starts], np.maximum.reduceat(fs, starts)
         self.xs = xs
         self.fs = fs
         hull = []
@@ -81,33 +80,29 @@ class Envelope1d:
     def values(self, mus) -> np.ndarray:
         return np.interp(np.asarray(mus, dtype=float), self.hull_x, self.hull_f)
 
-    def split(self, mu: float) -> tuple[float, list[tuple[float, float]]]:
-        """Envelope value at mu plus an optimal plan as [(grid x, weight), ...]
-        with at most two entries."""
-        if mu < self.hull_x[0] or mu > self.hull_x[-1]:
+    def split(self, mu: Belief) -> tuple[float, PosteriorDistribution]:
+        """Envelope value at mu and an optimal plan on at most two grid points:
+        mu's weights on the hull vertices on either side of it.
+
+        Ties break toward no learning, as in ``SimplexEnvelope.split``.
+        """
+        x = mu[0]
+        if not self.hull_x[0] <= x <= self.hull_x[-1]:
             raise InfeasibleBarycenter(
-                f"query {mu} outside grid range [{self.hull_x[0]}, {self.hull_x[-1]}]"
+                f"query {x} outside grid range [{self.hull_x[0]}, {self.hull_x[-1]}]"
             )
-        j = int(np.searchsorted(self.hull_x, mu, side="left"))
-        if j < self.hull_x.size and abs(self.hull_x[j] - mu) <= _WEIGHT_TOL:
-            return float(self.hull_f[j]), [(float(self.hull_x[j]), 1.0)]
-        a, b = j - 1, j
-        xa, xb = self.hull_x[a], self.hull_x[b]
-        wa = (xb - mu) / (xb - xa)
-        value = wa * self.hull_f[a] + (1.0 - wa) * self.hull_f[b]
-        # Locally concave at an on-grid query: stay put.
-        k = int(np.searchsorted(self.xs, mu, side="left"))
+        value = self.value(x)
+        at_query = int(np.abs(self.xs - x).argmin())
         if (
-            k < self.xs.size
-            and abs(self.xs[k] - mu) <= _WEIGHT_TOL
-            and self.fs[k] >= value - _CONTACT_TOL * (1.0 + abs(value))
+            abs(self.xs[at_query] - x) <= _WEIGHT_TOL
+            and self.fs[at_query] >= value - _CONTACT_TOL * (1.0 + abs(value))
         ):
-            return float(self.fs[k]), [(float(self.xs[k]), 1.0)]
-        plan = [(float(xa), float(wa)), (float(xb), float(1.0 - wa))]
-        plan = [(x, w) for x, w in plan if w > _WEIGHT_TOL]
-        total = sum(w for _, w in plan)
-        plan = [(x, w / total) for x, w in plan]
-        return float(value), plan
+            return value, degenerate(mu)
+        right = int(np.searchsorted(self.hull_x, x))
+        xa, xb = self.hull_x[right - 1], self.hull_x[right]
+        wa = (xb - x) / (xb - xa)
+        points = np.array([[xa, 1.0 - xa], [xb, 1.0 - xb]])
+        return value, _prune_plan(points, np.array([wa, 1.0 - wa]), mu)
 
 
 def concavify_1d(xs, fs, mu: float) -> tuple[float, PosteriorDistribution]:
@@ -116,16 +111,7 @@ def concavify_1d(xs, fs, mu: float) -> tuple[float, PosteriorDistribution]:
 
     The scalar coordinate is the probability of the first of two states.
     """
-    env = Envelope1d(xs, fs)
-    value, plan = env.split(mu)
-    support = [belief2(x) for x, _ in plan]
-    weights = np.array([w for _, w in plan])
-    if len(plan) == 1:
-        # Represent "stay put" at the queried prior itself.
-        prior = support[0]
-    else:
-        prior = belief2(mu)
-    return value, PosteriorDistribution(support, weights, prior)
+    return Envelope1d(xs, fs).split(belief2(mu))
 
 
 def _prune_plan(points: np.ndarray, weights: np.ndarray, prior: Belief):

@@ -38,7 +38,8 @@ class AssumptionViolated(CavscreenError):
 
 
 class NoFeasibleU(CavscreenError):
-    """The payment bisection interval is empty at the chosen fine level."""
+    """No payment window: at the chosen fine no payment keeps every informed
+    type whole below the rejection bound, or no positive fine exists."""
 
 
 class BoundaryPrior(CavscreenError):

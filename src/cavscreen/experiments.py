@@ -51,10 +51,6 @@ class Experiment:
     def m(self) -> int:
         return self.likelihoods.shape[1]
 
-    def is_uninformative(self, tol: float = SUM_TOL) -> bool:
-        """All rows equal: signals carry no information about the state."""
-        return np.abs(self.likelihoods - self.likelihoods[0]).max() <= tol
-
 
 def null_experiment(n: int) -> Experiment:
     """Single constant signal; observing it never moves the belief."""
@@ -73,18 +69,7 @@ def symmetric_binary(q: float) -> Experiment:
     return Experiment([[q, 1.0 - q], [1.0 - q, q]], signals=("h", "l"))
 
 
-def garble(E: Experiment, mixing: np.ndarray) -> Experiment:
-    """Post-process signals through a stochastic matrix (m x m'), producing a
-    Blackwell-dominated experiment."""
-    M = np.asarray(mixing, dtype=float)
-    if M.ndim != 2 or M.shape[0] != E.m:
-        raise DimensionMismatch(f"mixing must be {E.m} x m', got {M.shape}")
-    if M.min() < 0 or np.abs(M.sum(axis=1) - 1.0).max() > SUM_TOL:
-        raise ValueError("mixing rows must be probability vectors")
-    return Experiment(E.likelihoods @ M)
-
-
-def signal_marginal(E: Experiment, mu: Belief) -> np.ndarray:
+def _signal_marginal(E: Experiment, mu: Belief) -> np.ndarray:
     """Unconditional signal distribution at prior mu."""
     if E.n != mu.n:
         raise DimensionMismatch(f"experiment has {E.n} states, belief has {mu.n}")
@@ -93,7 +78,7 @@ def signal_marginal(E: Experiment, mu: Belief) -> np.ndarray:
 
 def posterior(E: Experiment, mu: Belief, s: int) -> Belief:
     """Bayes update of mu after observing signal index s."""
-    marg = signal_marginal(E, mu)
+    marg = _signal_marginal(E, mu)
     if marg[s] <= 0.0:
         raise ZeroProbabilitySignal(
             f"signal {E.signals[s]!r} has zero probability at {mu}"
@@ -104,7 +89,7 @@ def posterior(E: Experiment, mu: Belief, s: int) -> Belief:
 def induced_posterior_distribution(E: Experiment, mu: Belief) -> PosteriorDistribution:
     """Distribution over posteriors generated by E at mu; zero-probability
     signals are dropped."""
-    marg = signal_marginal(E, mu)
+    marg = _signal_marginal(E, mu)
     support = []
     weights = []
     for s in range(E.m):
@@ -128,10 +113,3 @@ def upsilon_batch(E: Experiment, priors) -> np.ndarray:
 def upsilon(E: Experiment, mu: Belief) -> float:
     """Learning benefit of E at mu: one row of ``upsilon_batch``."""
     return float(upsilon_batch(E, mu.probs[None, :])[0])
-
-
-def is_delta_valuable(E: Experiment, mu: Belief, delta: float) -> bool:
-    """Strictly more valuable than the threshold: upsilon(E, mu) > delta."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    return upsilon(E, mu) > delta

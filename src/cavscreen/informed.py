@@ -18,7 +18,7 @@ import numpy as np
 
 from . import shannon
 from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
-from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_1d, concavify_lp
+from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_lp
 from .experiments import induced_posterior_distribution
 from .simplex import Belief, PosteriorDistribution, degenerate, simplex_grid_array
 from .values import DecisionProblem
@@ -52,20 +52,22 @@ def _exact(model: CostModel, n: int) -> bool:
 
 
 def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
+    """The LP route's grid: the lattice, joined by mu when mu is off it."""
     grid = simplex_grid_array(mu.n, resolution)
     if not (np.abs(grid - mu.probs).max(axis=1) <= 1e-12).any():
         grid = np.vstack([grid, mu.probs])
     return grid
 
 
-def _samples(
+def _envelope(
     model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice stacked with the queried priors, and the objective
-    V - kappa*c sampled on it."""
+) -> Envelope1d | SimplexEnvelope:
+    """Envelope of the objective V - kappa*c sampled on the lattice stacked
+    with the queried priors."""
     n = priors.shape[1]
     grid = np.vstack([simplex_grid_array(n, resolution or default_resolution(n)), priors])
-    return grid, game.batch(grid) - model.kappa * model.potential.batch(grid)
+    g = game.batch(grid) - model.kappa * model.potential.batch(grid)
+    return Envelope1d(grid[:, 0], g) if n == 2 else SimplexEnvelope(grid, g)
 
 
 def informed_value(
@@ -78,8 +80,10 @@ def informed_value(
     posterior plan that attains it and the learning cost it incurs.
 
     Ties between learning and not learning resolve toward not learning.
-    Menus, the Shannon cost on n >= 4 states and every cost on three states
-    give one row of ``informed_value_sweep``, bit for bit.
+    Menus, the Shannon cost on n >= 4 states and every cost on two or three
+    states give one row of ``informed_value_sweep``, bit for bit: the value
+    and the plan are read off the envelope the sweep builds.  Other costs on
+    n >= 4 states solve the concavification LP over the grid.
     """
     if isinstance(model, FixedMenu):
         # One row of the sweep; argmax keeps the first best, so ties stay put.
@@ -98,21 +102,16 @@ def informed_value(
         if not solution.stay[0]:
             support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
             plan = _prune_plan(support, weights, mu)
-    elif mu.n == 3:
-        # One row of the sweep; the plan is read off the facet above mu.
+    elif mu.n <= 3:
+        # One row of the sweep; the plan is read off the envelope above mu.
         priors = mu.probs[None, :]
-        env, plan = SimplexEnvelope(*_samples(model, game, priors, resolution)).split(mu)
+        env, plan = _envelope(model, game, priors, resolution).split(mu)
         value = float((env + model.kappa * model.potential.batch(priors))[0])
     else:
-        resolution = resolution or default_resolution(mu.n)
-        grid = _grid_with(mu, resolution)
-        kappa = model.kappa
-        g = game.batch(grid) - kappa * model.potential.batch(grid)
-        if mu.n == 2:
-            env, plan = concavify_1d(grid[:, 0], g, mu[0])
-        else:
-            env, plan = concavify_lp(grid, g, mu)
-        value = env + kappa * model.potential.value(mu)
+        grid = _grid_with(mu, resolution or default_resolution(mu.n))
+        g = game.batch(grid) - model.kappa * model.potential.batch(grid)
+        env, plan = concavify_lp(grid, g, mu)
+        value = env + model.kappa * model.potential.value(mu)
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
         return InformedResult(value, degenerate(mu), 0.0)
@@ -163,9 +162,6 @@ def informed_value_sweep(
     n = priors.shape[1]
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
-    grid, g = _samples(model, game, priors, resolution)
-    if n == 2:
-        env = Envelope1d(grid[:, 0], g).values(priors[:, 0])
-    else:
-        env = SimplexEnvelope(grid, g).values(priors)
-    return env + model.kappa * model.potential.batch(priors)
+    env = _envelope(model, game, priors, resolution)
+    values = env.values(priors[:, 0] if n == 2 else priors)
+    return values + model.kappa * model.potential.batch(priors)

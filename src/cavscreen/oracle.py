@@ -14,8 +14,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .simplex import simplex_grid_array
-
 
 def brute_force_two_point_search(
     f: Callable[[float], float], prior: float, resolution: int
@@ -81,51 +79,3 @@ def lp_maximin(payoffs: np.ndarray) -> MaximinSolution:
     if not res.success:
         raise RuntimeError(f"maximin LP failed: {res.message}")
     return MaximinSolution(float(-res.fun), res.x[:m])
-
-
-class ConvexityReport(NamedTuple):
-    convex: bool
-    strict: bool
-
-
-def convexity_probe(
-    c: Callable[[np.ndarray], float], n: int, resolution: int
-) -> ConvexityReport:
-    """Midpoint-convexity scan of a potential on the simplex lattice.
-
-    Tests every collinear triple (p - h, p, p + h) along coordinate-difference
-    directions.  Convexity requires the midpoint to lie at or below the chord
-    within 1e-9; strictness requires a 1e-12 margin on every interior triple.
-    """
-    fn = c.value if hasattr(c, "value") else c
-    pts = simplex_grid_array(n, resolution)
-    index = {tuple(np.rint(row * resolution).astype(int)): k for k, row in enumerate(pts)}
-    values = np.array([fn(row) for row in pts])
-    convex = True
-    strict = True
-    seen_interior = False
-    for k, row in enumerate(pts):
-        base = np.rint(row * resolution).astype(int)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                step = np.zeros(n, dtype=int)
-                step[i] += 1
-                step[j] -= 1
-                lo = tuple(base - step)
-                hi = tuple(base + step)
-                if lo not in index or hi not in index:
-                    continue
-                chord = 0.5 * (values[index[lo]] + values[index[hi]])
-                gap = chord - values[k]
-                if gap < -1e-9:
-                    convex = False
-                interior = (base - step).min() > 0 and (base + step).min() > 0
-                if interior:
-                    seen_interior = True
-                    if gap <= 1e-12:
-                        strict = False
-    if not seen_interior:
-        strict = False
-    return ConvexityReport(convex, strict and convex)

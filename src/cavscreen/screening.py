@@ -29,13 +29,12 @@ from .errors import (
 )
 from .experiments import upsilon_batch
 from .informed import default_resolution, informed_value_sweep
-from .oracle import lp_maximin
+from .oracle import MaximinSolution, lp_maximin
 from .simplex import (
     COORD_TOL,
     SUM_TOL,
     Belief,
     Contract,
-    GeneralizedContract,
     ball_grid,
     distances,
     simplex_grid_array,
@@ -48,12 +47,7 @@ _Z95 = 1.96
 _FINE_STEPS = 18
 
 
-class MaximinResult(NamedTuple):
-    value: float
-    strategy: np.ndarray
-
-
-def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinResult:
+def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinSolution:
     """Guaranteed value of accepting with no belief and no learning.
 
     The expert mixes actions against an adversarial state.  In a rule-out
@@ -64,13 +58,13 @@ def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinRe
     F = game.fines(game.states(n))
     fines = np.diag(F)
     if not np.array_equal(F, np.diag(fines)):
-        return MaximinResult(*lp_maximin(game.u - F))
+        return lp_maximin(game.u - F)
     inv = 1.0 / fines
     if (fines == fines[0]).all():
         value = game.u - fines[0] / len(fines)
     else:
         value = game.u - 1.0 / inv.sum()
-    return MaximinResult(value, inv / inv.sum())
+    return MaximinSolution(value, inv / inv.sum())
 
 
 # Game constructors by ``screens`` variant, and the outside types it prices.
@@ -102,7 +96,7 @@ def _center(model: CostModel, center: Belief | None, n: int | None) -> Belief:
 class ScreeningReport:
     """Grid verification of a contract against one cost model."""
 
-    contract: Contract | GeneralizedContract
+    contract: Contract
     n: int
     resolution: int
     uninformed_kind: str
@@ -141,7 +135,7 @@ def _report(
 
 def screens(
     model: CostModel,
-    contract: Contract | GeneralizedContract,
+    contract: Contract,
     n: int | None = None,
     *,
     grid: np.ndarray | None = None,
@@ -344,7 +338,7 @@ def construct_screening_contract(
     return Construction(contract, certificate, report)
 
 
-def prop2_contract(rho: Belief, u: float, d_last: float) -> GeneralizedContract:
+def prop2_contract(rho: Belief, u: float, d_last: float) -> Contract:
     """Fines equalized against belief rho: d_i = (rho_n / rho_i) d_n.
 
     An uninformed expert holding rho is indifferent across announcements and
@@ -355,7 +349,7 @@ def prop2_contract(rho: Belief, u: float, d_last: float) -> GeneralizedContract:
     if probs.min() <= 0.0:
         raise BoundaryPrior("fines equalize only against an interior belief")
     fines = d_last * probs[-1] / probs
-    return GeneralizedContract(u, fines)
+    return Contract(u, fines)
 
 
 class XiScreenResult(NamedTuple):
@@ -366,32 +360,12 @@ class XiScreenResult(NamedTuple):
     samples: int
 
 
-def rejection_measure(
-    contract: Contract | GeneralizedContract, n: int | None = None
-) -> float:
+def rejection_measure(contract: Contract, n: int | None = None) -> float:
     """Exact mass of uniformly drawn beliefs rho that reject, u - min_i d_i
     rho_i < 0.  They are the scaled simplex rho_i > u/d_i for all i, of mass
     max(0, 1 - sum_i u/d_i)^(n-1)."""
     fines = contract.fines(SimpleAnnouncement(contract).states(n))
     return max(0.0, 1.0 - float(np.sum(contract.u / fines))) ** (len(fines) - 1)
-
-
-def rejection_measure_mc(
-    contract: Contract | GeneralizedContract,
-    n: int | None = None,
-    *,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo mass of uninformed beliefs that reject, with a 95%
-    normal-approximation half-width.  Beliefs draw uniformly (flat Dirichlet)."""
-    game = SimpleAnnouncement(contract)
-    rng = np.random.default_rng(seed)
-    draws = rng.dirichlet(np.ones(game.states(n)), size=samples)
-    reject = game.batch(draws) < 0.0
-    phat = float(reject.mean())
-    half = _Z95 * np.sqrt(phat * (1.0 - phat) / samples)
-    return phat, float(half)
 
 
 def xi_screen_search(

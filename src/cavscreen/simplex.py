@@ -6,7 +6,7 @@ parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,54 +68,42 @@ def uniform_belief(n: int) -> Belief:
     return Belief(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
-class Contract:
-    """Lump-sum payment u > 0 plus a single fine d > 0 levied when the
-    announced impossible state realizes."""
-
-    u: float
-    d: float
-
-    def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError(f"payment u must be > 0, got {self.u}")
-        if not self.d > 0:
-            raise ValueError(f"fine d must be > 0, got {self.d}")
-
-    def fines(self, n: int) -> np.ndarray:
-        return np.full(n, float(self.d))
-
-
 @dataclass(frozen=True, eq=False)
-class GeneralizedContract:
-    """Payment u > 0 with one fine per state, all > 0."""
+class Contract:
+    """Payment u > 0 plus fines > 0 for announcements that events contradict.
+
+    ``d`` is one common fine, played on any state count (``n`` is None), or
+    one fine per state (``n = len(d)``).
+    """
 
     u: float
-    fines_vec: np.ndarray
+    d: float | np.ndarray
 
-    def __init__(self, u: float, fines):
-        arr = _frozen_array(fines)
+    def __init__(self, u: float, d):
+        arr = _frozen_array(d)
         if not u > 0:
             raise ValueError(f"payment u must be > 0, got {u}")
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"need one fine per state (>= 2), got shape {arr.shape}")
+        if arr.ndim > 1 or arr.ndim == 1 and arr.size < 2:
+            raise ValueError(f"d is one fine or one per state (>= 2), got shape {arr.shape}")
         if not (arr > 0).all():
-            raise ValueError("all fines must be > 0")
+            raise ValueError(f"fines must be > 0, got {d}")
         object.__setattr__(self, "u", float(u))
-        object.__setattr__(self, "fines_vec", arr)
+        object.__setattr__(self, "d", float(arr) if arr.ndim == 0 else arr)
 
     @property
-    def n(self) -> int:
-        return self.fines_vec.size
+    def n(self) -> int | None:
+        """The state count the fines fix, or None for a common fine."""
+        return None if isinstance(self.d, float) else self.d.size
 
     def fines(self, n: int | None = None) -> np.ndarray:
+        """The fine on each of n states; n may be left out when the contract fixes it."""
+        if self.n is None:
+            if n is None:
+                raise ValueError("state count n required for a common-fine contract")
+            return np.full(n, self.d)
         if n is not None and n != self.n:
             raise DimensionMismatch(f"contract has {self.n} fines, asked for {n}")
-        return self.fines_vec
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{d:.6g}" for d in self.fines_vec)
-        return f"GeneralizedContract(u={self.u:.6g}, fines=[{inner}])"
+        return self.d
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,19 +155,6 @@ class PosteriorDistribution:
 def degenerate(prior: Belief) -> PosteriorDistribution:
     """The no-learning plan: all mass on the prior itself."""
     return PosteriorDistribution((prior,), np.array([1.0]), prior)
-
-
-def min_prob(b: Belief) -> float:
-    """Smallest coordinate of a belief; the best achievable expected-fine rate."""
-    return float(b.probs.min())
-
-
-def barycenter(F: PosteriorDistribution) -> Belief:
-    """Mean posterior of F; equals F.prior for any valid distribution."""
-    if not F.support:
-        raise EmptySupport("empty posterior distribution")
-    mean = F.weights @ F.support_matrix
-    return Belief(mean)
 
 
 def simplex_grid_array(n: int, resolution: int) -> np.ndarray:

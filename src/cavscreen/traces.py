@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .costs import PosteriorSeparable
-from .envelopes import Envelope1d, concavify_1d
+from .envelopes import Envelope1d
 from .simplex import Contract, PosteriorDistribution, belief2, simplex_grid_array
 from .values import SimpleAnnouncement
 
@@ -55,12 +55,7 @@ def binary_figure_traces(
     offsets = tuple(
         float(model.kappa * model.potential.value(belief2(p))) for p in priors
     )
-    values = []
-    plans = []
-    for p, off in zip(priors, offsets):
-        v, plan = concavify_1d(xs, objective, p)
-        values.append(v + off)
-        plans.append(plan)
+    splits = [env.split(belief2(p)) for p in priors]
     return FigureTraces(
         x=xs,
         gross=gross,
@@ -68,8 +63,8 @@ def binary_figure_traces(
         envelope=env.values(xs),
         priors=tuple(float(p) for p in priors),
         offsets=offsets,
-        values=tuple(values),
-        plans=tuple(plans),
+        values=tuple(v + off for (v, _), off in zip(splits, offsets)),
+        plans=tuple(plan for _, plan in splits),
     )
 
 

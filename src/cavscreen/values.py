@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .simplex import Belief, Contract, GeneralizedContract
+from .simplex import Belief, Contract
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,10 @@ class DecisionProblem:
         pts = np.asarray(points, dtype=float)
         return self.u - (pts @ self.fines(pts.shape[1]).T).min(axis=1)
 
-    def announce(self, belief: Belief) -> int:
-        """Index of the action the expert takes, ties to the lowest index."""
-        return int(np.argmin(self.fines(belief.n) @ belief.probs))
 
-
-def SimpleAnnouncement(contract: Contract | GeneralizedContract) -> DecisionProblem:
+def SimpleAnnouncement(contract: Contract) -> DecisionProblem:
     """Rule-out-one-state game: announcing i costs d_i x_i, F = diag(d)."""
-    return DecisionProblem(
-        contract.u,
-        lambda n: np.diag(contract.fines(n)),
-        getattr(contract, "n", None),
-    )
+    return DecisionProblem(contract.u, lambda n: np.diag(contract.fines(n)), contract.n)
 
 
 _URN_MISSES = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -73,7 +65,7 @@ def UrnDraw(contract: Contract) -> DecisionProblem:
     F = (d/2) [[0, 1, 2], [2, 1, 0]].  With x = P(rr) and y = P(bb) the
     payoff is u - (d/2) min(1 + y - x, 1 + x - y), kinked along x = y.
     """
-    if not isinstance(contract, Contract):
+    if contract.n is not None:
         raise ValueError("the urn game uses a common-fine contract")
 
     def fines(n: int) -> np.ndarray:

@@ -1,0 +1,33 @@
+"""Oracles and input helpers shared by the tests; not part of the package."""
+
+import numpy as np
+
+from cavscreen import Belief, Experiment, Potential, PosteriorDistribution, SimpleAnnouncement
+
+
+def barycenter(F: PosteriorDistribution) -> Belief:
+    """Mean posterior of F; equals F.prior for any valid distribution."""
+    return Belief(F.weights @ F.support_matrix)
+
+
+def garble(E: Experiment, mixing) -> Experiment:
+    """Post-process E's signals through a stochastic (m x m') matrix: a
+    Blackwell-dominated experiment."""
+    return Experiment(E.likelihoods @ np.asarray(mixing, dtype=float))
+
+
+def shifted(potential: Potential, constant: float) -> Potential:
+    """The potential plus a constant, which leaves every learning cost as it is."""
+    return Potential(
+        f"{potential.name}+{constant:g}", lambda pts: potential.batch(pts) + constant
+    )
+
+
+def rejection_measure_mc(contract, n=None, *, samples=100_000, seed=0):
+    """Monte Carlo mass of uniformly drawn (flat Dirichlet) uninformed
+    beliefs that reject the contract, with a 95% normal-approximation
+    half-width."""
+    game = SimpleAnnouncement(contract)
+    draws = np.random.default_rng(seed).dirichlet(np.ones(game.states(n)), size=samples)
+    phat = float((game.batch(draws) < 0.0).mean())
+    return phat, 1.96 * float(np.sqrt(phat * (1.0 - phat) / samples))

@@ -283,6 +283,10 @@ class TestErrorPaths:
             pytest.param("prop2", "rho: [0.25, 0.75]\nu: -1.0\n", id="negative-payment"),
             pytest.param("figure", "priors: 0.5\n", id="priors-not-a-list"),
             pytest.param(
+                "figure", "contract:\n  u: 0.1\n  fines: [1, 2, 3]\n",
+                id="figure-fines-off-two-states",
+            ),
+            pytest.param(
                 "screen", "model:\n  kappa: .inf\ncontract:\n  u: 0.1\n  d: 1.0\nn: 2\n",
                 id="kappa-infinite",
             ),

@@ -17,7 +17,6 @@ from cavscreen import (
     degenerate,
     distribution_cost,
     fully_informative,
-    garble,
     induced_posterior_distribution,
     neg_entropy,
     null_experiment,
@@ -26,6 +25,7 @@ from cavscreen import (
     symmetric_binary,
     uniform_belief,
 )
+from helpers import garble, shifted
 
 
 def full_revelation(prior):
@@ -119,11 +119,11 @@ class TestDistributionCost:
         rng = np.random.default_rng(23)
         base = neg_entropy()
         model = PosteriorSeparable(1.7, base)
-        shifted = PosteriorSeparable(1.7, base.shifted(7.0))
+        moved = PosteriorSeparable(1.7, shifted(base, 7.0))
         for _ in range(20):
             F = random_plan(rng, 3, int(rng.integers(1, 5)))
             assert distribution_cost(model, F) == pytest.approx(
-                distribution_cost(shifted, F), abs=1e-9
+                distribution_cost(moved, F), abs=1e-9
             )
 
     def test_infinite_potential_raises(self):

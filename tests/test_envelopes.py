@@ -11,13 +11,13 @@ from cavscreen import (
     InfeasibleBarycenter,
     SimplexEnvelope,
     UrnDraw,
-    barycenter,
     belief2,
     concavify_1d,
     concavify_lp,
     simplex_grid_array,
     uniform_belief,
 )
+from helpers import barycenter
 
 
 def piecewise_objective(rng, xs):
@@ -95,6 +95,39 @@ class TestConcavify1d:
         fs = np.zeros_like(xs)
         with pytest.raises(InfeasibleBarycenter):
             concavify_1d(xs, fs, 0.1)
+
+
+class TestEnvelope1d:
+    def test_repeated_abscissae_keep_the_best_sample(self):
+        xs = [0.5, 0.0, 1.0, 0.5, 0.25, 0.0, 0.5]
+        fs = [0.1, -1.0, 0.0, 0.3, -2.0, 0.2, -0.4]
+        env = Envelope1d(xs, fs)
+        assert env.xs.tolist() == [0.0, 0.25, 0.5, 1.0]
+        assert env.fs.tolist() == [0.2, -2.0, 0.3, 0.0]
+
+    def test_repeats_match_a_pointwise_maximum(self):
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            xs = rng.integers(0, 30, size=200) / 29.0
+            fs = rng.normal(size=200)
+            best = {}
+            for x, f in zip(xs, fs):
+                best[x] = max(best.get(x, -np.inf), f)
+            env = Envelope1d(xs, fs)
+            assert env.xs.tolist() == sorted(best)
+            assert env.fs.tolist() == [best[x] for x in sorted(best)]
+
+    def test_split_value_is_the_envelope_at_the_prior(self):
+        rng = np.random.default_rng(49)
+        xs = np.linspace(0.0, 1.0, 201)
+        for _ in range(10):
+            env = Envelope1d(xs, piecewise_objective(rng, xs))
+            for x in np.append(rng.uniform(size=5), xs[rng.choice(201, size=5)]):
+                mu = belief2(x)
+                value, plan = env.split(mu)
+                assert value == env.values([x])[0]
+                assert plan.prior is mu and len(plan) <= 2
+                np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
 
 
 class TestConcavifyLp:

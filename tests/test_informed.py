@@ -6,11 +6,9 @@ import pytest
 from cavscreen import (
     Belief,
     UrnDraw,
-    barycenter,
     quadratic,
     Contract,
     FixedMenu,
-    GeneralizedContract,
     PosteriorSeparable,
     SimpleAnnouncement,
     belief2,
@@ -25,6 +23,7 @@ from cavscreen import (
 )
 from cavscreen import envelopes
 from cavscreen.acceptance import worked_contract, worked_menu
+from helpers import barycenter
 
 
 class TestMenuValues:
@@ -86,10 +85,9 @@ class TestSeparableValues:
             assert res.cost == pytest.approx(cost, abs=1e-9)
             assert res.value == pytest.approx(expected_gross - cost, abs=1e-6)
 
-    def test_three_state_generalized_contract(self):
+    def test_three_state_per_state_fines(self):
         model = PosteriorSeparable(0.05, neg_entropy())
-        gc = GeneralizedContract(0.5, (2.0, 1.0, 0.7))
-        vf = SimpleAnnouncement(gc)
+        vf = SimpleAnnouncement(Contract(0.5, (2.0, 1.0, 0.7)))
         rng = np.random.default_rng(52)
         for q in rng.dirichlet(np.ones(3), size=6):
             mu = Belief(q)
@@ -155,10 +153,21 @@ THREE_STATE_GAMES = {
     "rule-out": (PosteriorSeparable(0.3, neg_entropy()), SimpleAnnouncement(Contract(0.3, 1.0))),
     "per-state-fines": (
         PosteriorSeparable(0.05, neg_entropy()),
-        SimpleAnnouncement(GeneralizedContract(0.5, (2.0, 1.0, 0.7))),
+        SimpleAnnouncement(Contract(0.5, (2.0, 1.0, 0.7))),
     ),
     "urn": (PosteriorSeparable(0.01, neg_entropy()), UrnDraw(Contract(0.03, 0.1))),
     "quadratic": (PosteriorSeparable(0.5, quadratic()), SimpleAnnouncement(Contract(0.4, 1.1))),
+}
+TWO_STATE_GAMES = {
+    "two-state-rule-out": (
+        PosteriorSeparable(0.01, neg_entropy()), SimpleAnnouncement(Contract(0.03, 0.08))
+    ),
+    "two-state-per-state-fines": (
+        PosteriorSeparable(0.02, neg_entropy()), SimpleAnnouncement(Contract(0.1, (0.4, 0.15)))
+    ),
+    "two-state-quadratic": (
+        PosteriorSeparable(2.0, quadratic()), SimpleAnnouncement(Contract(0.4, 1.1))
+    ),
 }
 # Vertices, an edge prior on and off the resolution-40 lattice, an interior
 # lattice point and two interior priors between lattice points.
@@ -166,18 +175,25 @@ THREE_STATE_PRIORS = (
     (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 0.0), (0.123, 0.0, 0.877),
     (0.25, 0.5, 0.25), (0.2113, 0.3359, 0.4528), (0.6021, 0.1287, 0.2692),
 )
+# Vertices, lattice priors and priors between lattice points; under the
+# quadratic cost 0.275 (on the lattice) and 0.123 (off it) stay put.
+TWO_STATE_PRIORS = (
+    (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.275, 0.725), (0.123, 0.877), (0.4871, 0.5129),
+)
+POINT_GAMES = {**THREE_STATE_GAMES, **TWO_STATE_GAMES}
 
 
 class TestThreeStatePoints:
-    @pytest.mark.parametrize("name", THREE_STATE_GAMES)
+    @pytest.mark.parametrize("name", POINT_GAMES)
     def test_point_is_one_row_of_the_sweep(self, name):
-        model, game = THREE_STATE_GAMES[name]
-        for probs in THREE_STATE_PRIORS:
+        model, game = POINT_GAMES[name]
+        priors = TWO_STATE_PRIORS if name in TWO_STATE_GAMES else THREE_STATE_PRIORS
+        for probs in priors:
             mu = Belief(probs)
             res = informed_value(model, game, mu, resolution=40)
             assert res.value == informed_value_sweep(model, game, mu.probs[None], resolution=40)[0]
             plan = res.plan
-            assert len(plan) <= 3
+            assert len(plan) <= mu.n
             np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
             assert res.cost == distribution_cost(model, plan)
             achieved = float(plan.weights @ game.batch(plan.support_matrix)) - res.cost

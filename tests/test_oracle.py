@@ -1,4 +1,4 @@
-"""Naive baselines: exhaustive pair search, zero-sum LP, convexity probe."""
+"""Naive baselines: exhaustive pair search and zero-sum LP."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from scipy.special import xlogy
 from cavscreen import (
     brute_force_two_point_search,
     concavify_1d,
-    convexity_probe,
     lp_maximin,
-    neg_entropy,
-    quadratic,
 )
 
 
@@ -70,21 +67,3 @@ class TestLpMaximin:
             got = lp_maximin(payoff)
             secured = got.strategy @ payoff
             assert (secured >= got.value - 1e-9).all()
-
-
-class TestConvexityProbe:
-    def test_entropy_is_strictly_convex(self):
-        report = convexity_probe(neg_entropy(), 2, 200)
-        assert report.convex and report.strict
-
-    def test_quadratic_is_strictly_convex(self):
-        report = convexity_probe(quadratic(), 2, 200)
-        assert report.convex and report.strict
-
-    def test_absolute_kink_is_convex_but_not_strict(self):
-        report = convexity_probe(lambda x: abs(x[0] - 0.5), 2, 200)
-        assert report.convex and not report.strict
-
-    def test_concave_function_fails(self):
-        report = convexity_probe(lambda x: -(x[0] ** 2), 2, 200)
-        assert not report.convex

@@ -13,7 +13,6 @@ from cavscreen import (
     DimensionMismatch,
     Experiment,
     FixedMenu,
-    GeneralizedContract,
     PosteriorSeparable,
     SearchExhausted,
     SimpleAnnouncement,
@@ -29,7 +28,6 @@ from cavscreen import (
     neg_entropy,
     prop2_contract,
     rejection_measure,
-    rejection_measure_mc,
     screens,
     symmetric_binary,
     uniform_belief,
@@ -40,6 +38,7 @@ from cavscreen import (
 from cavscreen import screening
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
+from helpers import rejection_measure_mc
 
 
 def payoff_matrix(u, fines):
@@ -63,7 +62,7 @@ class TestUninformedMaximin:
         assert uninformed_maximin(SimpleAnnouncement(Contract(2.0, 6.0)), 3).value == 0.0
 
     def test_unequal_fines(self):
-        got = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, (3.0, 1.0))))
+        got = uninformed_maximin(SimpleAnnouncement(Contract(1.0, (3.0, 1.0))))
         assert got.value == pytest.approx(0.25)
         np.testing.assert_allclose(got.strategy, [0.25, 0.75])
 
@@ -73,22 +72,22 @@ class TestUninformedMaximin:
             n = int(rng.integers(2, 7))
             u = rng.uniform(0.1, 5.0)
             fines = rng.uniform(0.2, 8.0, size=n)
-            game = SimpleAnnouncement(GeneralizedContract(u, fines))
+            game = SimpleAnnouncement(Contract(u, fines))
             lp = lp_maximin(payoff_matrix(u, fines))
             assert uninformed_maximin(game).value == pytest.approx(lp.value, abs=1e-9)
 
     def test_equalizer_flattens_expected_fines(self):
-        gc = GeneralizedContract(2.0, (5.0, 1.0, 2.0))
-        sigma = uninformed_maximin(SimpleAnnouncement(gc)).strategy
-        products = sigma * np.asarray(gc.fines())
+        contract = Contract(2.0, (5.0, 1.0, 2.0))
+        sigma = uninformed_maximin(SimpleAnnouncement(contract)).strategy
+        products = sigma * np.asarray(contract.fines())
         assert products.max() - products.min() < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(62)
         fines = rng.uniform(0.5, 4.0, size=4)
         perm = rng.permutation(4)
-        a = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, fines))).value
-        b = uninformed_maximin(SimpleAnnouncement(GeneralizedContract(1.0, fines[perm]))).value
+        a = uninformed_maximin(SimpleAnnouncement(Contract(1.0, fines))).value
+        b = uninformed_maximin(SimpleAnnouncement(Contract(1.0, fines[perm]))).value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -97,14 +96,14 @@ class TestSeuUninformed:
         assert seu_value(Contract(2.0, 6.0), uniform_belief(3)) == pytest.approx(0.0)
 
     def test_worked_numbers(self):
-        got = seu_value(GeneralizedContract(1.0, (3.0, 1.0)), belief2(0.3))
+        got = seu_value(Contract(1.0, (3.0, 1.0)), belief2(0.3))
         assert got == pytest.approx(0.3)
 
     def test_equalized_contract_is_announcement_proof(self):
         rho = Belief((0.2, 0.3, 0.5))
-        gc = prop2_contract(rho, 4.0, 10.0)
+        contract = prop2_contract(rho, 4.0, 10.0)
         want = 4.0 - 0.5 * 10.0
-        assert seu_value(gc, rho) == pytest.approx(want, abs=1e-12)
+        assert seu_value(contract, rho) == pytest.approx(want, abs=1e-12)
 
 
 class TestScreens:
@@ -307,18 +306,18 @@ class TestConstruction:
 
 class TestProp2:
     def test_uniform_prior_gives_equal_fines(self):
-        gc = prop2_contract(uniform_belief(3), 1.0, 5.0)
-        np.testing.assert_allclose(gc.fines(), 5.0, atol=1e-12)
+        contract = prop2_contract(uniform_belief(3), 1.0, 5.0)
+        np.testing.assert_allclose(contract.fines(), 5.0, atol=1e-12)
 
     def test_quarter_three_quarter(self):
-        gc = prop2_contract(Belief((0.25, 0.75)), 1.0, 100.0)
-        assert gc.fines()[0] == pytest.approx(300.0, abs=1e-12)
-        assert gc.fines()[1] == 100.0
+        contract = prop2_contract(Belief((0.25, 0.75)), 1.0, 100.0)
+        assert contract.fines()[0] == pytest.approx(300.0, abs=1e-12)
+        assert contract.fines()[1] == 100.0
 
     def test_three_state_products(self):
-        gc = prop2_contract(Belief((0.2, 0.3, 0.5)), 1.0, 10.0)
-        np.testing.assert_allclose(gc.fines(), [25.0, 50.0 / 3.0, 10.0], atol=1e-12)
-        products = np.asarray(gc.fines()) * np.array([0.2, 0.3, 0.5])
+        contract = prop2_contract(Belief((0.2, 0.3, 0.5)), 1.0, 10.0)
+        np.testing.assert_allclose(contract.fines(), [25.0, 50.0 / 3.0, 10.0], atol=1e-12)
+        products = np.asarray(contract.fines()) * np.array([0.2, 0.3, 0.5])
         assert products.max() - products.min() < 1e-12
 
     def test_boundary_prior_rejected(self):
@@ -332,10 +331,10 @@ class TestProp2:
         n = int(rng.integers(2, 6))
         rho = Belief(0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n)
         d_last = float(rng.uniform(0.5, 6.0))
-        gc = prop2_contract(rho, 1.0, d_last)
-        products = np.asarray(gc.fines()) * rho.probs
+        contract = prop2_contract(rho, 1.0, d_last)
+        products = np.asarray(contract.fines()) * rho.probs
         assert products.max() - products.min() < 1e-12
-        assert seu_value(gc, rho) == pytest.approx(
+        assert seu_value(contract, rho) == pytest.approx(
             1.0 - rho[n - 1] * d_last, abs=1e-12
         )
 
@@ -397,7 +396,7 @@ class TestRejectionMeasure:
     def test_per_state_fines_match_monte_carlo(self, n):
         rng = np.random.default_rng(21 + n)
         fines = rng.uniform(1.0, 3.0, size=n)
-        contract = GeneralizedContract(0.4 / np.sum(1.0 / fines), fines)
+        contract = Contract(0.4 / np.sum(1.0 / fines), fines)
         phat, half = rejection_measure_mc(contract, samples=400_000, seed=n)
         assert abs(rejection_measure(contract) - phat) <= 1.5 * half
 
@@ -450,11 +449,11 @@ class TestPermutationEquivariance:
         perm = np.array([2, 0, 1])
         for q in rng.dirichlet(np.ones(3), size=4):
             base = informed_value(
-                model, SimpleAnnouncement(GeneralizedContract(1.0, fines)),
+                model, SimpleAnnouncement(Contract(1.0, fines)),
                 Belief(q), resolution=30,
             ).value
             relabeled = informed_value(
-                model, SimpleAnnouncement(GeneralizedContract(1.0, fines[perm])),
+                model, SimpleAnnouncement(Contract(1.0, fines[perm])),
                 Belief(q[perm]), resolution=30,
             ).value
             assert relabeled == pytest.approx(base, abs=1e-9)

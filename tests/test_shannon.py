@@ -26,6 +26,7 @@ from cavscreen import (
     simplex_grid_array,
 )
 from cavscreen import shannon
+from helpers import shifted
 
 KAPPAS = (1e-3, 0.3)
 # Lattice resolutions for the grid routes, small enough for a quick hull.
@@ -156,7 +157,7 @@ def test_other_models_and_three_states_stay_on_the_grid(monkeypatch):
     for model, n in (
         (PosteriorSeparable(0.3, neg_entropy()), 3),
         (PosteriorSeparable(0.3, quadratic()), 4),
-        (PosteriorSeparable(0.3, neg_entropy().shifted(1.0)), 4),
+        (PosteriorSeparable(0.3, shifted(neg_entropy(), 1.0)), 4),
     ):
         informed_value_sweep(model, game, simplex_grid_array(n, 4), resolution=6)
         informed_value(model, game, Belief(np.full(n, 1.0 / n)), resolution=6)

@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 from cavscreen import (
     Belief,
     Contract,
+    DimensionMismatch,
     EmptySupport,
-    GeneralizedContract,
     PosteriorDistribution,
     ball_grid,
-    barycenter,
     belief2,
     degenerate,
-    min_prob,
     simplex_grid_array,
     uniform_belief,
 )
 from cavscreen.informed import default_resolution
+from helpers import barycenter
 
 
 def stars_and_bars(n, resolution):
@@ -65,29 +64,42 @@ class TestContracts:
         with pytest.raises(ValueError):
             Contract(1.0, 0.0)
 
-    def test_generalized_requires_positive_fines(self):
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param((1.0, 0.0), id="zero-fine"),
+            pytest.param((2.0, -1.0, 3.0), id="negative-fine"),
+            pytest.param(-2.0, id="negative-common-fine"),
+            pytest.param(float("nan"), id="nan-fine"),
+            pytest.param((1.5,), id="one-entry-vector"),
+            pytest.param((), id="empty-vector"),
+            pytest.param(((1.0, 2.0), (3.0, 4.0)), id="two-dimensional"),
+        ],
+    )
+    def test_rejects_malformed_fines(self, d):
         with pytest.raises(ValueError):
-            GeneralizedContract(1.0, (1.0, 0.0))
+            Contract(1.0, d)
 
     def test_common_fine_expands_to_vector(self):
         c = Contract(2.0, 5.0)
+        assert c.n is None and c.d == 5.0
         assert tuple(c.fines(3)) == (5.0, 5.0, 5.0)
+        with pytest.raises(ValueError):
+            c.fines()
 
-    def test_generalized_fixes_dimension(self):
-        gc = GeneralizedContract(1.0, (3.0, 1.0))
-        assert gc.n == 2
-        np.testing.assert_allclose(gc.fines(), [3.0, 1.0])
+    def test_fine_vector_fixes_dimension(self):
+        c = Contract(1.0, (3.0, 1.0))
+        assert c.n == 2
+        np.testing.assert_allclose(c.fines(), [3.0, 1.0])
+        np.testing.assert_allclose(c.fines(2), [3.0, 1.0])
+        for n in (1, 3, 4):
+            with pytest.raises(DimensionMismatch):
+                c.fines(n)
 
-
-class TestMinProb:
-    def test_symmetric_two_state(self):
-        assert min_prob(belief2(0.5)) == 0.5
-
-    def test_uniform_three_state(self):
-        assert min_prob(uniform_belief(3)) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_plain_minimum(self):
-        assert min_prob(Belief((0.2, 0.5, 0.3))) == pytest.approx(0.2)
+    def test_compares_by_identity(self):
+        c = Contract(1.0, 2.0)
+        assert c == c and c != Contract(1.0, 2.0)
+        assert len({c, Contract(1.0, (2.0, 2.0))}) == 2
 
 
 class TestBarycenter:

@@ -7,6 +7,7 @@ import pytest
 
 from cavscreen import (
     Contract,
+    Envelope1d,
     PosteriorSeparable,
     Potential,
     binary_figure_traces,
@@ -70,6 +71,23 @@ class TestTraceShapes:
         for k, p in enumerate(traces.priors):
             want = model.kappa * neg_entropy().value(np.array([p, 1.0 - p]))
             assert traces.offsets[k] == pytest.approx(want, abs=1e-12)
+
+
+class TestOneEnvelope:
+    def test_every_prior_splits_the_same_envelope(self, monkeypatch):
+        builds = []
+        real = Envelope1d.__init__
+
+        def counting(self, xs, fs):
+            builds.append(len(xs))
+            real(self, xs, fs)
+
+        monkeypatch.setattr(Envelope1d, "__init__", counting)
+        model = PosteriorSeparable(1.0, neg_entropy())
+        traces = binary_figure_traces(
+            model, Contract(0.2, 1.0), priors=(0.3, 0.47, 0.5, 0.53, 0.7)
+        )
+        assert builds == [traces.x.size]
 
 
 class TestFreeLearning:

@@ -8,7 +8,6 @@ from cavscreen import (
     Contract,
     DecisionProblem,
     DimensionMismatch,
-    GeneralizedContract,
     SimpleAnnouncement,
     UrnDraw,
     belief2,
@@ -19,8 +18,13 @@ def payoff(contract, belief):
     return SimpleAnnouncement(contract).value(belief)
 
 
+def announce(game, belief):
+    """Index of the action the expert takes, ties to the lowest index."""
+    return int(np.argmin(game.fines(belief.n) @ belief.probs))
+
+
 def announced(contract, belief):
-    return SimpleAnnouncement(contract).announce(belief)
+    return announce(SimpleAnnouncement(contract), belief)
 
 
 class TestGrossValue:
@@ -31,9 +35,9 @@ class TestGrossValue:
         got = payoff(Contract(250.0, 600.0), Belief((1 / 3, 2 / 3)))
         assert got == pytest.approx(50.0, abs=1e-9)
 
-    def test_generalized_fines(self):
-        gc = GeneralizedContract(1.0, (3.0, 1.0))
-        assert payoff(gc, belief2(0.3)) == pytest.approx(1.0 - 0.7)
+    def test_per_state_fines(self):
+        c = Contract(1.0, (3.0, 1.0))
+        assert payoff(c, belief2(0.3)) == pytest.approx(1.0 - 0.7)
 
     def test_value_function_dispatch(self):
         # the rule-out game is the decision problem with F = diag(d)
@@ -48,11 +52,11 @@ class TestGrossValue:
         rng = np.random.default_rng(31)
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            gc = GeneralizedContract(rng.uniform(0.5, 3), rng.uniform(0.2, 4, size=n))
+            c = Contract(rng.uniform(0.5, 3), rng.uniform(0.2, 4, size=n))
             a, b = rng.dirichlet(np.ones(n), size=2)
             lam = rng.uniform()
-            mid = payoff(gc, Belief(lam * a + (1 - lam) * b))
-            ends = lam * payoff(gc, Belief(a)) + (1 - lam) * payoff(gc, Belief(b))
+            mid = payoff(c, Belief(lam * a + (1 - lam) * b))
+            ends = lam * payoff(c, Belief(a)) + (1 - lam) * payoff(c, Belief(b))
             assert mid <= ends + 1e-12
 
 
@@ -61,8 +65,8 @@ class TestAnnounce:
         assert announced(Contract(1.0, 1.0), Belief((0.2, 0.5, 0.3))) == 0
 
     def test_fine_weighted_comparison(self):
-        gc = GeneralizedContract(1.0, (3.0, 1.0))
-        assert announced(gc, belief2(0.3)) == 1  # 0.9 vs 0.7
+        c = Contract(1.0, (3.0, 1.0))
+        assert announced(c, belief2(0.3)) == 1  # 0.9 vs 0.7
 
     def test_tie_breaks_to_lowest_index(self):
         assert announced(Contract(1.0, 1.0), belief2(0.5)) == 0
@@ -70,17 +74,17 @@ class TestAnnounce:
     def test_accepts_value_function(self):
         # any expected-fine matrix: the action with the smallest row product
         vf = DecisionProblem(1.0, lambda n: np.array([[0.9, 0.9], [0.0, 1.0], [1.0, 0.2]]))
-        assert vf.announce(belief2(0.3)) == 2  # 0.9, 0.7, 0.44
+        assert announce(vf, belief2(0.3)) == 2  # 0.9, 0.7, 0.44
         assert vf.value(belief2(0.3)) == pytest.approx(1.0 - 0.44)
 
     def test_announcement_attains_gross_value(self):
         rng = np.random.default_rng(32)
         for _ in range(40):
             n = int(rng.integers(2, 6))
-            gc = GeneralizedContract(rng.uniform(0.5, 2), rng.uniform(0.2, 4, size=n))
+            c = Contract(rng.uniform(0.5, 2), rng.uniform(0.2, 4, size=n))
             x = Belief(rng.dirichlet(np.ones(n)))
-            i = announced(gc, x)
-            assert gc.u - gc.fines()[i] * x[i] == pytest.approx(payoff(gc, x))
+            i = announced(c, x)
+            assert c.u - c.fines()[i] * x[i] == pytest.approx(payoff(c, x))
 
 
 class TestUrnDraw:
@@ -99,15 +103,15 @@ class TestUrnDraw:
         vf = UrnDraw(Contract(1.0, 1.0))
         b = Belief((0.6, 0.3, 0.1))  # calling red loses less
         assert vf.value(b) == pytest.approx(1.0 - 0.5 * (1.0 + 0.1 - 0.6))
-        assert vf.announce(b) == 0
+        assert announce(vf, b) == 0
 
     def test_black_call_when_blue_heavy(self):
         vf = UrnDraw(Contract(1.0, 1.0))
-        assert vf.announce(Belief((0.1, 0.3, 0.6))) == 1
+        assert announce(vf, Belief((0.1, 0.3, 0.6))) == 1
 
     def test_call_tie_breaks_to_red(self):
         vf = UrnDraw(Contract(1.0, 1.0))
-        assert vf.announce(Belief((0.25, 0.5, 0.25))) == 0
+        assert announce(vf, Belief((0.25, 0.5, 0.25))) == 0
 
     def test_batch_matches_scalar(self):
         vf = UrnDraw(Contract(0.5, 0.8))
@@ -119,13 +123,13 @@ class TestUrnDraw:
 
     def test_needs_a_common_fine(self):
         with pytest.raises(ValueError):
-            UrnDraw(GeneralizedContract(1.0, (1.0, 1.0, 1.0)))
+            UrnDraw(Contract(1.0, (1.0, 1.0, 1.0)))
 
 
 class TestStates:
     def test_game_fixes_its_state_count(self):
         assert UrnDraw(Contract(1.0, 1.0)).states() == 3
-        assert SimpleAnnouncement(GeneralizedContract(1.0, (1.0, 2.0))).states(2) == 2
+        assert SimpleAnnouncement(Contract(1.0, (1.0, 2.0))).states(2) == 2
         with pytest.raises(ValueError):
             UrnDraw(Contract(1.0, 1.0)).states(4)
 
