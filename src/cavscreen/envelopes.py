@@ -2,8 +2,9 @@
 
 Two constructions back every grid-priced informed value:
 
-* ``Envelope1d``: an upper-hull scan over (x, f(x)) samples for two-state
-  problems.  Exact on the grid, and O(N) to build on sorted samples.
+* ``Envelope1d``: the upper hull of (x, f(x)) samples for two-state
+  problems, read off the antitonic regression of the sample slopes and
+  cleared of collinear vertices.  Exact on the grid.
 * ``SimplexEnvelope``: the lifted convex hull of grid samples for n >= 3,
   evaluated as a minimum over upper-facet planes.
 
@@ -23,7 +24,7 @@ the independent check on both hull constructions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import isotonic_regression, linprog
 from scipy.spatial import ConvexHull
 
 from .errors import EmptyGrid, InfeasibleBarycenter
@@ -58,19 +59,7 @@ class Envelope1d:
             xs, fs = xs[starts], np.maximum.reduceat(fs, starts)
         self.xs = xs
         self.fs = fs
-        hull = []
-        for j in range(xs.size):
-            while len(hull) >= 2:
-                i, k = hull[-2], hull[-1]
-                # Drop k unless it rises strictly above the chord i -> j.
-                if (fs[k] - fs[i]) * (xs[j] - xs[i]) <= (fs[j] - fs[i]) * (
-                    xs[k] - xs[i]
-                ):
-                    hull.pop()
-                else:
-                    break
-            hull.append(j)
-        self.hull_idx = np.array(hull, dtype=int)
+        self.hull_idx = _upper_hull(xs, fs)
         self.hull_x = xs[self.hull_idx]
         self.hull_f = fs[self.hull_idx]
 
@@ -103,6 +92,34 @@ class Envelope1d:
         wa = (xb - x) / (xb - xa)
         points = np.array([[xa, 1.0 - xa], [xb, 1.0 - xb]])
         return value, _prune_plan(points, np.array([wa, 1.0 - wa]), mu)
+
+
+def _upper_hull(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Vertex indices of the least concave majorant of samples at strictly
+    increasing xs.
+
+    The majorant's slopes are the antitonic regression of the sample slopes,
+    weighted by spacing, and each pooled block of slopes is one hull edge,
+    so the vertices are the block starts and the last sample.  Vertices that
+    do not rise strictly above the chord between their neighbours (collinear
+    points, or slopes apart only by rounding) are then dropped, a few at a
+    time and never two neighbours at once, until none is left.
+    """
+    if xs.size <= 2:
+        return np.arange(xs.size)
+    dx = np.diff(xs)
+    hull = isotonic_regression(np.diff(fs) / dx, weights=dx, increasing=False).blocks
+    while hull.size > 2:
+        i, k, j = hull[:-2], hull[1:-1], hull[2:]
+        drop = (fs[k] - fs[i]) * (xs[j] - xs[i]) <= (fs[j] - fs[i]) * (xs[k] - xs[i])
+        if not drop.any():
+            break
+        # Of each run of neighbours to drop, drop every other one, from the first.
+        at = np.arange(drop.size)
+        run_pos = at - np.maximum.accumulate(np.where(drop, -1, at))
+        drop &= run_pos % 2 == 1
+        hull = np.delete(hull, 1 + np.flatnonzero(drop))
+    return hull
 
 
 def concavify_1d(xs, fs, mu: float) -> tuple[float, PosteriorDistribution]:

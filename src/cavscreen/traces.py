@@ -73,17 +73,11 @@ def learning_regions(traces: FigureTraces) -> list[tuple[float, float]]:
     objective, so optimal learning is non-degenerate."""
     scale = 1.0 + float(np.abs(traces.objective).max())
     gap = traces.envelope - traces.objective > _GAP_TOL * scale
-    regions = []
-    start = None
-    for k, inside in enumerate(gap):
-        if inside and start is None:
-            start = k
-        elif not inside and start is not None:
-            regions.append((float(traces.x[start]), float(traces.x[k - 1])))
-            start = None
-    if start is not None:
-        regions.append((float(traces.x[start]), float(traces.x[-1])))
-    return regions
+    # Padded with False, the mask changes at each region's first index and
+    # one past its last.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], gap, [False]))))
+    x = traces.x.tolist()
+    return [(x[a], x[b - 1]) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
 
 
 def figure_table(traces: FigureTraces) -> tuple[list[str], list[list[str]]]:
@@ -92,22 +86,12 @@ def figure_table(traces: FigureTraces) -> tuple[list[str], list[list[str]]]:
     header = ["x", "gross", "objective", "envelope"]
     for p in traces.priors:
         header += [f"curve[{p:g}]", f"envelope[{p:g}]"]
-    rows = []
-    for i in range(traces.x.size):
-        row = [
-            traces.x[i],
-            traces.gross[i],
-            traces.objective[i],
-            traces.envelope[i],
-        ]
-        for off in traces.offsets:
-            row += [traces.objective[i] + off, traces.envelope[i] + off]
-        rows.append([_fmt(v) for v in row])
+    columns = [traces.x, traces.gross, traces.objective, traces.envelope]
+    for off in traces.offsets:
+        columns += [traces.objective + off, traces.envelope + off]
+    template = ",".join(["%.12g"] * len(columns))
+    rows = [(template % row).split(",") for row in zip(*(c.tolist() for c in columns))]
     return header, rows
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".12g")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -167,9 +151,12 @@ def write_svg(
             f'<line x1="{left - 4}" y1="{sy(yv):.1f}" x2="{left}" y2="{sy(yv):.1f}" stroke="black"/>'
             f'<text x="{left - 7}" y="{sy(yv) + 4:.1f}" text-anchor="end">{yv:.4g}</text>'
         )
+    px = sx(x)
+    template = " ".join(["%.2f,%.2f"] * x.size)
     for k, (label, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        coords = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        pairs = np.column_stack([px, sy(np.asarray(y, dtype=float))]).ravel()
+        coords = template % tuple(pairs.tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -10,6 +10,23 @@ def barycenter(F: PosteriorDistribution) -> Belief:
     return Belief(F.weights @ F.support_matrix)
 
 
+def scan_hull(xs, fs) -> np.ndarray:
+    """Vertex indices of the upper concave envelope of samples at strictly
+    increasing xs, by the monotone upper-hull scan: each new sample pops
+    the last vertex while that vertex does not rise strictly above the chord
+    from the vertex before it."""
+    hull = []
+    for j in range(len(xs)):
+        while len(hull) >= 2:
+            i, k = hull[-2], hull[-1]
+            if (fs[k] - fs[i]) * (xs[j] - xs[i]) <= (fs[j] - fs[i]) * (xs[k] - xs[i]):
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    return np.array(hull, dtype=int)
+
+
 def garble(E: Experiment, mixing) -> Experiment:
     """Post-process E's signals through a stochastic (m x m') matrix: a
     Blackwell-dominated experiment."""

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import cavscreen.cli as cli
 import cavscreen.simplex as simplex
@@ -243,6 +244,22 @@ class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert cli.main(["screen", "--config", "/does/not/exist.yaml"]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"model: [unclosed\n", b"a: b: c\n", b"\x07a: 1\n", b"a: 1\n\tb: 2\n", b"a: \xff\xfe 1\n"],
+        ids=["unclosed-flow", "nested-mapping", "control-character", "tab-indent", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["screen", "figure", "prop2", "xi-screen"])
+    def test_unparseable_yaml_is_a_config_error(self, capsys, tmp_path, command, data):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: cannot parse config {path}: ")
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_configs_read_as_with_the_python_parser(self, path):
+        assert load_config(str(path)) == yaml.load(path.read_text(), Loader=yaml.SafeLoader)
 
     @pytest.mark.parametrize(
         "command, text",

@@ -1,4 +1,4 @@
-"""Upper concave envelopes: 1-D hull scan, simplex LP, and batch facets."""
+"""Upper concave envelopes: 1-D hull, simplex LP, and batch facets."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from cavscreen import (
     Contract,
     Envelope1d,
     InfeasibleBarycenter,
+    SimpleAnnouncement,
     SimplexEnvelope,
     UrnDraw,
     belief2,
@@ -17,7 +18,10 @@ from cavscreen import (
     simplex_grid_array,
     uniform_belief,
 )
-from helpers import barycenter
+from cavscreen.costs import neg_entropy, quadratic
+from helpers import barycenter, scan_hull
+
+EPS = np.finfo(float).eps
 
 
 def piecewise_objective(rng, xs):
@@ -128,6 +132,62 @@ class TestEnvelope1d:
                 assert value == env.values([x])[0]
                 assert plan.prior is mu and len(plan) <= 2
                 np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
+
+
+class TestUpperHull:
+    """The hull read off the antitonic regression against the upper-hull
+    scan in ``helpers.scan_hull``."""
+
+    @pytest.mark.parametrize("potential", [neg_entropy(), quadratic()], ids=["entropy", "quadratic"])
+    @pytest.mark.parametrize("per_state", [False, True], ids=["common-fine", "per-state-fines"])
+    def test_same_vertices_as_the_scan_on_two_state_objectives(self, potential, per_state):
+        rng = np.random.default_rng(60 + 2 * per_state + (potential.name == "quadratic"))
+        lattice = simplex_grid_array(2, 1000)
+        for kappa in np.geomspace(0.01, 5.0, 40):
+            d = rng.uniform(0.02, 2.0, size=2 if per_state else None)
+            game = SimpleAnnouncement(Contract(rng.uniform(0.001, 0.5 * np.min(d)), d))
+            grid = np.vstack([lattice, rng.dirichlet(np.ones(2), size=rng.integers(1, 20))])
+            env = Envelope1d(grid[:, 0], game.batch(grid) - kappa * potential.batch(grid))
+            np.testing.assert_array_equal(env.hull_idx, scan_hull(env.xs, env.fs))
+
+    def test_exactly_collinear_samples_leave_only_the_ends(self):
+        xs = np.arange(17) / 16.0
+        for fs in (3.0 * xs - 1.0, np.zeros(17), np.minimum(2.0 * xs, 1.0)):
+            env = Envelope1d(xs, fs)
+            assert env.hull_idx.tolist() == scan_hull(xs, fs).tolist()
+        assert Envelope1d(xs, 3.0 * xs - 1.0).hull_idx.tolist() == [0, 16]
+        assert Envelope1d(xs, np.minimum(2.0 * xs, 1.0)).hull_idx.tolist() == [0, 8, 16]
+
+    def test_collinear_and_tied_samples_within_rounding_of_the_scan(self):
+        # Rounded decimals with repeated abscissae, and samples on a line up
+        # to rounding.  Where chords tie within rounding, the regression may
+        # pool a vertex the scan keeps, or the reverse; the envelopes then
+        # differ by rounding alone.
+        rng = np.random.default_rng(61)
+        differ = 0
+        for trial in range(3000):
+            m = int(rng.integers(2, 40))
+            xs = np.round(rng.uniform(0.0, 1.0, m), int(rng.integers(1, 4)))
+            if trial % 3:
+                fs = np.round(rng.uniform(-1.0, 1.0, m), int(rng.integers(1, 3)))
+            else:
+                slope, offset = rng.uniform(-1.0, 1.0, 2)
+                fs = np.round(slope * xs + offset, 2)
+            env = Envelope1d(xs, fs)
+            ref = scan_hull(env.xs, env.fs)
+            differ += not np.array_equal(env.hull_idx, ref)
+            tol = 4.0 * EPS * (1.0 + np.abs(env.fs).max())
+            # No vertex left that fails to rise strictly above its neighbours' chord.
+            h = env.hull_idx
+            i, k, j = h[:-2], h[1:-1], h[2:]
+            x, f = env.xs, env.fs
+            assert ((f[k] - f[i]) * (x[j] - x[i]) > (f[j] - f[i]) * (x[k] - x[i])).all()
+            assert h[0] == 0 and h[-1] == x.size - 1
+            values = env.values(x)
+            np.testing.assert_allclose(values, np.interp(x, x[ref], f[ref]), rtol=0, atol=tol)
+            assert (f <= values + tol).all()
+        # The rounding-level cases are in the sample, so the tolerance is exercised.
+        assert differ > 0
 
 
 class TestConcavifyLp:

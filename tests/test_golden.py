@@ -1,5 +1,6 @@
 """Byte-stable CLI outputs: the exit code, stdout, stderr and written files of
-fixed commands, compared with the files under ``tests/golden/``.
+fixed commands, compared byte for byte (line terminators included) with the
+files under ``tests/golden/``.
 
 Golden files change only on purpose, with the reason recorded in CHANGES.md.
 To rewrite them after such a change, run from the repository root:
@@ -37,29 +38,29 @@ CASES = {
 }
 
 
-def run_case(name: str, out: Path) -> dict[str, str]:
-    """Golden file name -> content for one case, with the --out path
+def run_case(name: str, out: Path) -> dict[str, bytes]:
+    """Golden file name -> content bytes for one case, with the --out path
     replaced by ``OUT``."""
     argv, files = CASES[name]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv + ["--out", str(out)])
     text = f"exit: {code}\n[stdout]\n{stdout.getvalue()}[stderr]\n{stderr.getvalue()}"
-    result = {f"{name}.txt": text.replace(str(out), "OUT")}
+    result = {f"{name}.txt": text.replace(str(out), "OUT").encode()}
     for file in files:
-        result[f"{name}.{file}"] = (out / file).read_text()
+        result[f"{name}.{file}"] = (out / file).read_bytes()
     return result
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(tmp_path, name):
-    for file, text in run_case(name, tmp_path).items():
-        assert text == (GOLDEN / file).read_text(), f"{file} differs from its golden copy"
+    for file, data in run_case(name, tmp_path).items():
+        assert data == (GOLDEN / file).read_bytes(), f"{file} differs from its golden copy"
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            for file, text in run_case(name, Path(tmp)).items():
-                (GOLDEN / file).write_text(text)
+            for file, data in run_case(name, Path(tmp)).items():
+                (GOLDEN / file).write_bytes(data)

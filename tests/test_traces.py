@@ -66,6 +66,32 @@ class TestTraceShapes:
         assert lo < 0.5 < hi
         assert 0.47 < lo and hi < 0.53
 
+    def test_learning_regions_match_a_loop_over_the_gap_mask(self, designed):
+        _, _, traces = designed
+
+        def loop(traces):
+            scale = 1.0 + float(np.abs(traces.objective).max())
+            gap = traces.envelope - traces.objective > 1e-11 * scale
+            regions, start = [], None
+            for k, inside in enumerate(gap):
+                if inside and start is None:
+                    start = k
+                elif not inside and start is not None:
+                    regions.append((float(traces.x[start]), float(traces.x[k - 1])))
+                    start = None
+            if start is not None:
+                regions.append((float(traces.x[start]), float(traces.x[-1])))
+            return regions
+
+        rng = np.random.default_rng(70)
+        size = traces.x.size
+        masks = [np.zeros(size, bool), np.ones(size, bool), np.arange(size) % 2 == 0]
+        masks += [rng.uniform(size=size) < p for p in (0.01, 0.3, 0.5, 0.97)]
+        for mask in masks:
+            bumped = traces._replace(envelope=traces.objective + 1e-3 * mask)
+            assert learning_regions(bumped) == loop(bumped)
+        assert learning_regions(traces) == loop(traces)
+
     def test_offsets_shift_curves_by_prior_potential(self, designed):
         model, _, traces = designed
         for k, p in enumerate(traces.priors):
