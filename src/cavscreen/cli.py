@@ -8,6 +8,7 @@ fails to screen, 3 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -75,7 +76,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cavscreen",
         description="Contract screening with endogenous information acquisition.",

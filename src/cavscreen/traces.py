@@ -8,7 +8,6 @@ envelope serves every prior.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,10 +94,11 @@ def figure_table(traces: FigureTraces) -> tuple[list[str], list[list[str]]]:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """CSV with CRLF line ends, as the csv module writes it, for fields that
+    need no quoting (numbers and plain labels)."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

@@ -1,5 +1,7 @@
-"""Exact Shannon informed values at n >= 4: the batched Newton solver, checked
-against its own certificate, the grid routes it replaced, and its plans."""
+"""Exact Shannon informed values at n >= 4: the closed-form water-fill for
+rule-out games and the batched Newton solver for every other game, checked
+against their certificate, each other, the grid routes they replaced, and
+their plans."""
 
 import itertools
 
@@ -88,11 +90,9 @@ def test_exact_value_dominates_the_grid_routes(n, kind, kappa):
     assert (exact >= game.batch(mu) - 1e-12).all()
 
 
-@pytest.mark.parametrize("n, kind, kappa", CASES)
-def test_certificate_holds(n, kind, kappa):
-    game, mu = games(n)[kind], priors(n)
-    P = payoffs(game, n)
-    solution = shannon.solve(P, kappa, mu)
+def assert_certified(P, kappa, mu, solution):
+    """Every row's weights lie in the simplex, and its Blahut-Arimoto bound,
+    recomputed from them in the log domain, certifies its value."""
     scale = 1.0 + np.abs(P).max()
     for row, p, value in zip(mu, solution.weights, solution.values):
         live = row > 0.0
@@ -103,6 +103,59 @@ def test_certificate_holds(n, kind, kappa):
         c = np.exp(P[:, live] / kappa - log_s) @ row[live]
         assert kappa * (c.max() - 1.0) <= shannon._GAP * scale + kappa * shannon._ROUNDING
         assert kappa * float(row[live] @ log_s) == pytest.approx(value, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n, kind, kappa", CASES)
+def test_certificate_holds(n, kind, kappa):
+    P = payoffs(games(n)[kind], n)
+    assert_certified(P, kappa, priors(n), shannon.solve(P, kappa, priors(n)))
+
+
+def newton_only(monkeypatch):
+    """Make the closed form certify no row, so every row goes to Newton."""
+    def nothing(P, E, kappa, mu, tol):
+        return np.zeros(len(mu)), np.zeros((len(mu), P.shape[0])), np.zeros(len(mu), dtype=bool)
+
+    monkeypatch.setattr(shannon, "_water_fill", nothing)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ("rule-out", "prop2"))
+@pytest.mark.parametrize("kappa", (1e-3, 1e-2, 0.3, 3.0, 1e3))
+def test_closed_form_agrees_with_newton(n, kind, kappa, monkeypatch):
+    # Interior priors too, some with near-zero coordinates.
+    rng = np.random.default_rng(20 + n)
+    mu = np.vstack([priors(n), rng.dirichlet(np.ones(n), 32), rng.dirichlet(np.full(n, 0.2), 32)])
+    P = payoffs(games(n)[kind], n)
+    closed = shannon.solve(P, kappa, mu)
+    assert_certified(P, kappa, mu, closed)
+    newton_only(monkeypatch)
+    newton = shannon.solve(P, kappa, mu)
+    scale = 1.0 + np.abs(P).max()
+    # Newton stops anywhere within its certified gap, which kappa * _ROUNDING
+    # dominates at large kappa; the closed form sits at the optimum.
+    gap = closed.values - newton.values
+    assert gap.min() >= -1e-12 * scale
+    assert gap.max() <= 1e-12 * scale + kappa * shannon._ROUNDING
+    np.testing.assert_array_equal(closed.stay, newton.stay)
+
+
+def test_newton_values_come_back_when_the_closed_form_certifies_nothing(monkeypatch):
+    P, mu = payoffs(games(4)["rule-out"], 4), priors(4)
+    closed = shannon.solve(P, 0.3, mu)
+    newton_only(monkeypatch)
+    newton = shannon.solve(P, 0.3, mu)
+    assert newton.steps.max() > 0
+    assert_certified(P, 0.3, mu, newton)
+    scale = 1.0 + np.abs(P).max()
+    np.testing.assert_allclose(newton.values, closed.values, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_steps_are_zero_on_a_rule_out_lattice_and_count_newton_elsewhere():
+    lattice = simplex_grid_array(4, 12)
+    assert (shannon.solve(payoffs(games(4)["rule-out"], 4), 0.3, lattice).steps == 0).all()
+    solution = shannon.solve(payoffs(games(4)["hand-built"], 4), 0.3, lattice)
+    assert (solution.steps[solution.stay] == 0).all() and solution.steps.max() > 0
 
 
 @pytest.mark.parametrize("n, kind, kappa", CASES)
@@ -140,12 +193,13 @@ def test_the_announce_action_stays_put_where_learning_cannot_pay():
 def test_uncertified_prior_raises(monkeypatch):
     monkeypatch.setattr(shannon, "_NEWTON_CAP", 1)
     model = PosteriorSeparable(0.3, neg_entropy())
-    contract = Contract(0.2, 1.0)
     with pytest.raises(NotCertified):
-        informed_value(model, SimpleAnnouncement(contract), Belief((0.4, 0.3, 0.2, 0.1)))
-    # The grid routes do not catch it.
+        informed_value(model, games(4)["hand-built"], Belief((0.4, 0.3, 0.2, 0.1)))
+    # Verdicts play rule-out games; with the closed form certifying nothing
+    # they reach Newton, and the grid routes do not catch it.
+    newton_only(monkeypatch)
     with pytest.raises(NotCertified):
-        screens(model, contract, 4, resolution=6)
+        screens(model, Contract(0.2, 1.0), 4, resolution=6)
 
 
 def test_other_models_and_three_states_stay_on_the_grid(monkeypatch):
