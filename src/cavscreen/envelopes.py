@@ -6,7 +6,8 @@ Two constructions back every grid-priced informed value:
   problems, read off the antitonic regression of the sample slopes and
   cleared of collinear vertices.  Exact on the grid.
 * ``SimplexEnvelope``: the lifted convex hull of grid samples for n >= 3,
-  evaluated as a minimum over upper-facet planes.
+  evaluated as a minimum over the upper-facet planes whose facets lie near
+  the queries.  Exact on the hull of the grid.
 
 Each is built once per objective and shares one interface: ``values``
 answers whole-grid sweeps in vectorized batches, and ``split`` takes a
@@ -35,7 +36,9 @@ _WEIGHT_TOL = 1e-12
 # A query this close to a grid point that attains the envelope is treated as
 # locally concave: the returned plan degenerates to that point.
 _CONTACT_TOL = 1e-9
-# Query rows per dense facet-plane block in SimplexEnvelope.values.
+# Query rows per block in SimplexEnvelope.values.  Each block is evaluated
+# on the facets whose bounding box meets the block's, so blocks of nearby
+# rows (callers pass lattice rows in order) keep that candidate set small.
 _CHUNK = 512
 
 
@@ -187,6 +190,13 @@ class SimplexEnvelope:
     value and takes the convex hull; the envelope is the pointwise minimum of
     the upper-facet planes.  An anchor point far below the samples keeps the
     hull full-dimensional even for affine data.
+
+    The envelope is defined on the convex hull of the grid points.  There
+    every upper-facet plane lies on or above it and the plane of the facet
+    holding a query meets it, so a minimum over any planes that include that
+    one is exact.  ``values`` takes it over the facets whose bounding box (in
+    the free coordinates) meets the query block's; the holding facet's box
+    contains the query, so it is among them.
     """
 
     def __init__(self, points, fs):
@@ -215,15 +225,28 @@ class SimplexEnvelope:
         self._facets = hull.simplices[up]
         self._alpha = -normals[:, : self.n - 1] / normals[:, self.n - 1 : self.n]
         self._beta = -normals[:, -1] / normals[:, self.n - 1]
+        # Facet bounding boxes in the free coordinates, one row per
+        # coordinate: (n - 1, facets) keeps each box test a contiguous pass.
+        corners = free[self._facets.T]
+        self._lo = np.ascontiguousarray(corners.min(axis=0).T)
+        self._hi = np.ascontiguousarray(corners.max(axis=0).T)
 
     def values(self, queries) -> np.ndarray:
-        """Envelope at each query belief row; min over facet planes, chunked."""
+        """Envelope at each query belief row, in blocks of rows: the minimum
+        over the planes of the facets whose boxes meet the block's box.
+
+        Rows outside the hull of the grid points get no defined value; a
+        block that meets no facet box reads +inf.
+        """
         q = np.asarray(queries, dtype=float)[:, : self.n - 1]
         out = np.empty(q.shape[0])
         for start in range(0, q.shape[0], _CHUNK):
             block = q[start : start + _CHUNK]
-            planes = block @ self._alpha.T + self._beta
-            out[start : start + _CHUNK] = planes.min(axis=1)
+            near = (
+                (self._lo <= block.max(axis=0)[:, None]) & (self._hi >= block.min(axis=0)[:, None])
+            ).all(axis=0)
+            planes = block @ self._alpha[near].T + self._beta[near]
+            out[start : start + _CHUNK] = planes.min(axis=1, initial=np.inf)
         return out
 
     def value(self, mu: Belief) -> float:

@@ -27,6 +27,17 @@ def scan_hull(xs, fs) -> np.ndarray:
     return np.array(hull, dtype=int)
 
 
+def facet_minimum(env, queries) -> np.ndarray:
+    """Envelope of a ``SimplexEnvelope`` at each query belief row as the
+    minimum over every upper-facet plane, in dense blocks of rows."""
+    q = np.asarray(queries, dtype=float)[:, : env.n - 1]
+    out = np.empty(q.shape[0])
+    for start in range(0, q.shape[0], 512):
+        block = q[start : start + 512]
+        out[start : start + 512] = (block @ env._alpha.T + env._beta).min(axis=1)
+    return out
+
+
 def garble(E: Experiment, mixing) -> Experiment:
     """Post-process E's signals through a stochastic (m x m') matrix: a
     Blackwell-dominated experiment."""

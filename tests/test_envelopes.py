@@ -12,14 +12,16 @@ from cavscreen import (
     SimpleAnnouncement,
     SimplexEnvelope,
     UrnDraw,
+    ball_grid,
     belief2,
     concavify_1d,
     concavify_lp,
+    prop2_contract,
     simplex_grid_array,
     uniform_belief,
 )
 from cavscreen.costs import neg_entropy, quadratic
-from helpers import barycenter, scan_hull
+from helpers import barycenter, facet_minimum, scan_hull
 
 EPS = np.finfo(float).eps
 
@@ -246,7 +248,78 @@ class TestConcavifyLp:
             concavify_lp(inner, np.zeros(len(inner)), belief2(0.1))
 
 
+def _net(game, kappa, potential):
+    return lambda grid: game.batch(grid) - kappa * potential.batch(grid)
+
+
+# Envelope inputs as the sweep builds them, a lattice stacked with the
+# queried priors in lattice order: (lattice, priors, objective).
+_ENVELOPE_CASES = {
+    "rule-out-r200": lambda rng: (
+        simplex_grid_array(3, 200),
+        np.vstack([simplex_grid_array(3, 200), rng.dirichlet(np.ones(3), size=20)]),
+        _net(SimpleAnnouncement(Contract(0.3, 1.0)), 0.3, neg_entropy()),
+    ),
+    "urn-ball-r60": lambda rng: (
+        simplex_grid_array(3, 60),
+        ball_grid(uniform_belief(3), 0.25, 60),
+        _net(UrnDraw(Contract(0.03, 0.1)), 0.3, neg_entropy()),
+    ),
+    "prop2-r60-priors": lambda rng: (
+        simplex_grid_array(3, 200),
+        simplex_grid_array(3, 60),
+        _net(
+            SimpleAnnouncement(prop2_contract(Belief([0.2, 0.3, 0.5]), 0.1, 0.5)),
+            0.3,
+            neg_entropy(),
+        ),
+    ),
+    "random-r12": lambda rng: (
+        simplex_grid_array(3, 12),
+        rng.dirichlet(np.ones(3), size=40),
+        lambda grid: rng.uniform(-1.0, 1.0, size=len(grid)),
+    ),
+    "affine-r12": lambda rng: (
+        simplex_grid_array(3, 12),
+        rng.dirichlet(np.ones(3), size=40),
+        lambda grid: grid @ np.array([0.3, -1.2, 0.7]) + 0.1,
+    ),
+    "quadratic-n4-r20": lambda rng: (
+        simplex_grid_array(4, 20),
+        simplex_grid_array(4, 20),
+        _net(SimpleAnnouncement(Contract(0.3, 1.0)), 0.5, quadratic()),
+    ),
+}
+
+
 class TestSimplexEnvelope:
+    @pytest.mark.parametrize("case", list(_ENVELOPE_CASES))
+    def test_values_equal_the_facet_minimum(self, case):
+        """The box-filtered query against the minimum over every upper-facet
+        plane in ``helpers.facet_minimum``, on rows in lattice order,
+        shuffled, at the simplex's vertices and edges, and one at a time."""
+        rng = np.random.default_rng(49)
+        lattice, priors, objective = _ENVELOPE_CASES[case](rng)
+        grid = np.vstack([lattice, priors])
+        env = SimplexEnvelope(grid, objective(grid))
+        n = grid.shape[1]
+        corners = np.eye(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = np.array(
+            [t * corners[i] + (1.0 - t) * corners[j] for i, j in pairs for t in (0.5, 0.3)]
+        )
+
+        def check(queries, got):
+            want = facet_minimum(env, queries)
+            np.testing.assert_array_less(np.abs(got - want), 4.0 * EPS * (1.0 + np.abs(want)))
+            assert got.argmin() == want.argmin()
+
+        shuffled = priors[rng.permutation(len(priors))]
+        for queries in (priors, shuffled, np.vstack([corners, edges])):
+            check(queries, env.values(queries))
+        rows = np.vstack([corners, edges, priors[rng.choice(len(priors), size=30)]])
+        check(rows, np.array([env.values(row[None, :])[0] for row in rows]))
+
     def test_batch_matches_lp_pointwise(self):
         rng = np.random.default_rng(45)
         grid = simplex_grid_array(3, 12)
@@ -293,5 +366,7 @@ class TestSimplexEnvelope:
         grid = simplex_grid_array(3, 10)
         inner = grid[grid.min(axis=1) >= 0.2]
         env = SimplexEnvelope(inner, np.zeros(len(inner)))
+        # No facet lies near the query: values returns, undefined there.
+        assert env.values([[1.0, 0.0, 0.0]]).shape == (1,)
         with pytest.raises(InfeasibleBarycenter):
             env.split(Belief([1.0, 0.0, 0.0]))
