@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a value mismatch (including failed
-acceptance criteria), 2 when a construction is infeasible or a contract
-fails to screen, 3 on configuration errors.
+Each command takes only the options it reads (``_COMMANDS``), and ``main``
+is the one place that maps failures to exit codes: 0 on success, 1 on a
+value mismatch (including failed acceptance criteria), 2 when a
+construction is infeasible or a contract fails to screen, 3 on a config or
+command-line error, a flag the command does not take included.
 """
 
 from __future__ import annotations
@@ -66,36 +68,6 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="YAML run configuration")
-    sub.add_argument("--seed", type=int, default=0, metavar="N")
-    sub.add_argument("--grid", type=int, metavar="N", help="belief grid resolution")
-    sub.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    sub.add_argument(
-        "--format", choices=("csv", "svg", "both"), default="csv", dest="fmt"
-    )
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="cavscreen",
-        description="Contract screening with endogenous information acquisition.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("example-one", "verify the worked two-state menu scenario"),
-        ("figure", "emit payoff/objective/envelope traces for a two-state contract"),
-        ("screen", "verify that a configured contract screens"),
-        ("prop2", "build a contract with fines equalized against a belief"),
-        ("xi-screen", "search for a contract rejected by most uninformed beliefs"),
-        ("acceptance", "run the acceptance criteria"),
-    ):
-        _add_common(subs.add_parser(name, help=help_))
-    return parser
-
-
 def _load(args) -> dict:
     return load_config(args.config) if args.config else {}
 
@@ -156,11 +128,7 @@ def _cmd_figure(args) -> int:
         print(f"designed contract: u={contract.u:.6g} d={contract.d:.6g}")
     priors = priors_from(cfg, (0.47, 0.50, 0.53))
     resolution = resolution_from(cfg, args.grid) or 1000
-    try:
-        traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
-    except (ValueError, DimensionMismatch) as exc:
-        # The grid is too large to build, or the contract has other than two fines.
-        raise ConfigError(str(exc)) from exc
+    traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
     for k, p in enumerate(traces.priors):
         plan = traces.plans[k]
         how = (
@@ -200,28 +168,24 @@ def _cmd_screen(args) -> int:
     resolution = resolution_from(cfg, args.grid)
     if contract is not None and kind == "seu" and rho is None:
         raise ConfigError("uninformed: seu needs rho, the uninformed belief")
-    try:
-        if contract is None:
-            built = construct_screening_contract(
-                model, assumption_from(cfg), center=rho, n=n, resolution=resolution,
-                eta=number_from(cfg, "eta", 0.1, low=0.0),
-                margin=number_from(cfg, "margin", 0.05, low=-1.0),
-                norm=choice_from(cfg, "norm", ("euclidean", "sup"), "euclidean"),
-            )
-            print(
-                f"constructed contract u={built.contract.u:.6g} d={built.contract.d:.6g} "
-                f"from certificate (epsilon={built.certificate.epsilon:.6g}, "
-                f"T={built.certificate.T:.6g})"
-            )
-            report = built.report
-        else:
-            report = screens(
-                model, contract, n, grid=ball_from(cfg, resolution), resolution=resolution,
-                uninformed=kind, rho=rho, variant=variant,
-            )
-    except (ValueError, DimensionMismatch) as exc:
-        # No state count is set, or n, rho, the contract and the model disagree.
-        raise ConfigError(str(exc)) from exc
+    if contract is None:
+        built = construct_screening_contract(
+            model, assumption_from(cfg), center=rho, n=n, resolution=resolution,
+            eta=number_from(cfg, "eta", 0.1, low=0.0),
+            margin=number_from(cfg, "margin", 0.05, low=-1.0),
+            norm=choice_from(cfg, "norm", ("euclidean", "sup"), "euclidean"),
+        )
+        print(
+            f"constructed contract u={built.contract.u:.6g} d={built.contract.d:.6g} "
+            f"from certificate (epsilon={built.certificate.epsilon:.6g}, "
+            f"T={built.certificate.T:.6g})"
+        )
+        report = built.report
+    else:
+        report = screens(
+            model, contract, n, grid=ball_from(cfg, resolution), resolution=resolution,
+            uninformed=kind, rho=rho, variant=variant,
+        )
     print(report.to_text())
     return EXIT_OK if report.screens else EXIT_INFEASIBLE
 
@@ -245,13 +209,7 @@ def _cmd_prop2(args) -> int:
     if "model" in cfg:
         model = cost_model_from(cfg)
         resolution = resolution_from(cfg, args.grid)
-        try:
-            report = screens(
-                model, contract, rho.n, resolution=resolution, uninformed="seu", rho=rho
-            )
-        except (ValueError, DimensionMismatch) as exc:
-            # The model's experiments and rho disagree on the state count.
-            raise ConfigError(str(exc)) from exc
+        report = screens(model, contract, rho.n, resolution=resolution, uninformed="seu", rho=rho)
         print(report.to_text())
         return EXIT_OK if report.screens else EXIT_INFEASIBLE
     return EXIT_OK
@@ -265,11 +223,7 @@ def _cmd_xi_screen(args) -> int:
     xi = number_from(cfg, "xi", 0.1, low=0.0, high=1.0)
     n = states_from(cfg) or 2
     resolution = resolution_from(cfg, args.grid)
-    try:
-        found = xi_screen_search(model, xi, n=n, resolution=resolution, seed=args.seed)
-    except (ValueError, DimensionMismatch) as exc:
-        # The model's experiments disagree with n.
-        raise ConfigError(str(exc)) from exc
+    found = xi_screen_search(model, xi, n=n, resolution=resolution, seed=args.seed)
     print(f"contract: u={found.contract.u:.6g} d={found.contract.d:.6g}")
     print(
         f"rejection mass: {found.rejection:.4f} +/- {found.half_width:.4f} "
@@ -289,21 +243,60 @@ def _cmd_acceptance(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
+# The argparse settings of every option.
+_OPTIONS = {
+    "--config": dict(metavar="PATH", help="YAML run configuration"),
+    "--seed": dict(type=int, default=0, metavar="N"),
+    "--grid": dict(type=int, metavar="N", help="belief grid resolution"),
+    "--out": dict(metavar="DIR", default=".", help="output directory"),
+    "--format": dict(choices=("csv", "svg", "both"), default="csv", dest="fmt"),
+}
+
+# name: (handler, the options it reads and so takes, help)
 _COMMANDS = {
-    "example-one": _cmd_example_one,
-    "figure": _cmd_figure,
-    "screen": _cmd_screen,
-    "prop2": _cmd_prop2,
-    "xi-screen": _cmd_xi_screen,
-    "acceptance": _cmd_acceptance,
+    "example-one": (_cmd_example_one, ("--out", "--format"),
+                    "verify the worked two-state menu scenario"),
+    "figure": (_cmd_figure, ("--config", "--grid", "--out", "--format"),
+               "emit payoff/objective/envelope traces for a two-state contract"),
+    "screen": (_cmd_screen, ("--config", "--grid"), "verify that a configured contract screens"),
+    "prop2": (_cmd_prop2, ("--config", "--grid"),
+              "build a contract with fines equalized against a belief"),
+    "xi-screen": (_cmd_xi_screen, ("--config", "--seed", "--grid"),
+                  "search for a contract rejected by most uninformed beliefs"),
+    "acceptance": (_cmd_acceptance, (), "run the acceptance criteria"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors; the
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    parser = _Parser(
+        prog="cavscreen",
+        description="Contract screening with endogenous information acquisition.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options, help_) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args)
+    except (ConfigError, ValueError, DimensionMismatch) as exc:
+        # A bad command line, config field, or grid, or a state count that the
+        # config's n, rho, contract and model disagree on.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssumptionViolated, NoFeasibleU, BoundaryPrior) as exc:

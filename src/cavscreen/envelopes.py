@@ -84,11 +84,7 @@ class Envelope1d:
                 f"query {x} outside grid range [{self.hull_x[0]}, {self.hull_x[-1]}]"
             )
         value = self.value(x)
-        at_query = int(np.abs(self.xs - x).argmin())
-        if (
-            abs(self.xs[at_query] - x) <= _WEIGHT_TOL
-            and self.fs[at_query] >= value - _CONTACT_TOL * (1.0 + abs(value))
-        ):
+        if _contact(self.xs, self.fs, x, value) is not None:
             return value, degenerate(mu)
         right = int(np.searchsorted(self.hull_x, x))
         xa, xb = self.hull_x[right - 1], self.hull_x[right]
@@ -134,6 +130,17 @@ def concavify_1d(xs, fs, mu: float) -> tuple[float, PosteriorDistribution]:
     return Envelope1d(xs, fs).split(belief2(mu))
 
 
+def _contact(points, fs, query, value) -> int | None:
+    """Index of the sample at the query (one sample per row of ``points``,
+    or per entry if 1-D) when it reaches the envelope ``value`` there, so
+    that staying put is optimal; else None."""
+    diffs = np.abs(points - query).reshape(len(points), -1).max(axis=1)
+    at = int(diffs.argmin())
+    if diffs[at] <= _WEIGHT_TOL and fs[at] >= value - _CONTACT_TOL * (1.0 + abs(value)):
+        return at
+    return None
+
+
 def _prune_plan(points: np.ndarray, weights: np.ndarray, prior: Belief):
     keep = weights > _WEIGHT_TOL
     pts = points[keep]
@@ -170,16 +177,10 @@ def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
     if not res.success:
         raise RuntimeError(f"concavification LP failed: {res.message}")
     value = float(res.fun)
-    # Prefer the degenerate plan when the query is itself a grid point that
-    # attains the optimum (ties broken toward no learning).
-    diffs = np.abs(pts - mu.probs).max(axis=1)
-    at_query = int(diffs.argmin())
-    if diffs[at_query] <= _WEIGHT_TOL and fvals[at_query] >= value - _CONTACT_TOL * (
-        1.0 + abs(value)
-    ):
-        return float(fvals[at_query]), PosteriorDistribution(
-            (Belief(pts[at_query]),), np.array([1.0]), mu
-        )
+    # Ties break toward no learning.
+    at = _contact(pts, fvals, mu.probs, value)
+    if at is not None:
+        return float(fvals[at]), degenerate(mu)
     return value, _prune_plan(pts, -res.ineqlin.marginals, mu)
 
 
@@ -261,11 +262,9 @@ class SimplexEnvelope:
         carries the plan.
         """
         value = self.value(mu)
-        tol = _CONTACT_TOL * (1.0 + abs(value))
-        diffs = np.abs(self.points - mu.probs).max(axis=1)
-        at_query = int(diffs.argmin())
-        if diffs[at_query] <= _WEIGHT_TOL and self.fs[at_query] >= value - tol:
+        if _contact(self.points, self.fs, mu.probs, value) is not None:
             return value, degenerate(mu)
+        tol = _CONTACT_TOL * (1.0 + abs(value))
         tight = self._facets[self._alpha @ mu.probs[: self.n - 1] + self._beta <= value + tol]
         # corners[k] holds facet k's vertices as columns; solve corners @ w = mu.
         # qhull's triangulated output may hold zero-area facets; skip them.

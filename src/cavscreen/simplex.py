@@ -143,10 +143,10 @@ class PosteriorDistribution:
     def support_matrix(self) -> np.ndarray:
         return np.vstack([b.probs for b in self.support])
 
-    def is_degenerate(self, tol: float = COORD_TOL) -> bool:
+    def is_degenerate(self) -> bool:
         """True when all mass sits on a single posterior equal to the prior."""
-        live = [b for b, w in zip(self.support, self.weights) if w > tol]
-        return len(live) == 1 and np.abs(live[0].probs - self.prior.probs).max() <= tol
+        live = [b for b, w in zip(self.support, self.weights) if w > COORD_TOL]
+        return len(live) == 1 and np.abs(live[0].probs - self.prior.probs).max() <= COORD_TOL
 
     def __len__(self) -> int:
         return len(self.support)

@@ -102,18 +102,15 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Non
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# SVG canvas size in pixels.
+_WIDTH, _HEIGHT = 720, 460
 
 
 def write_svg(
-    path,
-    x: np.ndarray,
-    series: Sequence[tuple[str, np.ndarray]],
-    title: str = "",
-    width: int = 720,
-    height: int = 460,
+    path, x: np.ndarray, series: Sequence[tuple[str, np.ndarray]], title: str = ""
 ) -> None:
     """Minimal line plot: axes, ticks, one polyline per labeled series."""
-    left, right, top, bottom = 60.0, width - 20.0, 30.0, height - 40.0
+    left, right, top, bottom = 60.0, _WIDTH - 20.0, 30.0, _HEIGHT - 40.0
     x = np.asarray(x, dtype=float)
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -130,9 +127,9 @@ def write_svg(
         return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
     ]

@@ -1,6 +1,10 @@
 """Configuration parsing and the command-line front end."""
 
+import argparse
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,11 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def out(command, tmp_path):
+    """--out into tmp_path for the commands that take it, else nothing."""
+    return ["--out", str(tmp_path)] if "--out" in OPTIONS[command] else []
 
 
 class TestLoadConfig:
@@ -235,6 +244,72 @@ class TestXiScreenCommand:
         assert "analytic rejection mass" in out
 
 
+# The options each command takes: the ones it reads.  Adding one shows up here.
+OPTIONS = {
+    "example-one": ["--out", "--format"],
+    "figure": ["--config", "--grid", "--out", "--format"],
+    "screen": ["--config", "--grid"],
+    "prop2": ["--config", "--grid"],
+    "xi-screen": ["--config", "--seed", "--grid"],
+    "acceptance": [],
+}
+
+
+class TestCommandLine:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        (subs,) = (
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        taken = {
+            name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, sub in subs.choices.items()
+        }
+        assert taken == OPTIONS
+        assert sum(map(len, taken.values())) == 13
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["screen", "--grid", "abc"], id="grid-not-an-int"),
+            pytest.param(["xi-screen", "--seed", "1.5"], id="seed-not-an-int"),
+            pytest.param(["example-one", "--format", "pdf"], id="unknown-format"),
+            pytest.param(["figure", "--config"], id="config-without-path"),
+            pytest.param(["screen", "--bogus"], id="unknown-flag"),
+            pytest.param(["screen", "--config", "configs/example_one.yaml", "--out", "d"],
+                         id="screen-out"),
+            pytest.param(["screen", "--config", "configs/example_one.yaml", "--seed", "5"],
+                         id="screen-seed"),
+            pytest.param(["acceptance", "--config", "x"], id="acceptance-config"),
+            pytest.param(["example-one", "--grid", "5"], id="example-one-grid"),
+            pytest.param([], id="no-command"),
+            pytest.param(["bogus"], id="unknown-command"),
+        ],
+    )
+    def test_rejected_command_lines_are_config_errors(self, capsys, argv):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [[], ["screen", "--bogus"]], ids=["no-command", "unknown-flag"])
+    def test_rejected_command_lines_exit_3_from_the_process(self, argv):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "cavscreen.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 3
+        assert run.stderr.startswith("config error: ") and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("command", [None, *OPTIONS])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "-h"] if command else ["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cavscreen")
+
+
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 ENTROPY_SCREEN = "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  d: 1.0\n"
@@ -254,7 +329,7 @@ class TestErrorPaths:
     def test_unparseable_yaml_is_a_config_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "bad.yaml"
         path.write_bytes(data)
-        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert cli.main([command, "--config", str(path)] + out(command, tmp_path)) == 3
         assert capsys.readouterr().err.startswith(f"config error: cannot parse config {path}: ")
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
@@ -320,7 +395,7 @@ class TestErrorPaths:
         self, capsys, tmp_path, command, text
     ):
         path = write(tmp_path, "bad.yaml", text)
-        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 3
+        assert cli.main([command, "--config", path] + out(command, tmp_path)) == 3
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("command", ["prop2", "screen"])
@@ -347,7 +422,7 @@ class TestErrorPaths:
     def test_every_shipped_config_keeps_the_exit_code_contract(
         self, capsys, tmp_path, command, config
     ):
-        code = cli.main([command, "--config", str(config), "--out", str(tmp_path)])
+        code = cli.main([command, "--config", str(config)] + out(command, tmp_path))
         assert code in (0, 1, 2, 3)
 
     @pytest.mark.parametrize(
@@ -374,7 +449,7 @@ class TestErrorPaths:
             return counts(n, resolution)
 
         monkeypatch.setattr(simplex, "_lattice_counts", refuse)
-        argv = [command, "--config", write(tmp_path, "big.yaml", text), "--out", str(tmp_path)]
+        argv = [command, "--config", write(tmp_path, "big.yaml", text)] + out(command, tmp_path)
         assert cli.main(argv + (["--grid", grid] if grid else [])) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "coordinates" in err
@@ -390,7 +465,7 @@ class TestErrorPaths:
     )
     def test_grid_zero_is_a_config_error(self, capsys, tmp_path, command, text):
         # --grid 0 sets a resolution of 0; it must not fall back to the default.
-        argv = [command, "--config", write(tmp_path, "cfg.yaml", text), "--out", str(tmp_path)]
+        argv = [command, "--config", write(tmp_path, "cfg.yaml", text)] + out(command, tmp_path)
         assert cli.main(argv + ["--grid", "0"]) == 3
         assert capsys.readouterr().err.startswith("config error: ")
 

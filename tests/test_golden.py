@@ -24,7 +24,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 FIGURE_FILES = ("figure.csv", "figure.svg")
 
-# case name: (argv without --out, files the command writes to --out)
+# case name: (argv, files the command writes to --out).  A case that writes
+# files gets --out; the commands that write none do not take it.
 CASES = {
     **{f"screen-{path.stem}": (["screen", "--config", str(path)], ()) for path in CONFIGS},
     "xi-screen-default": (["xi-screen"], ()),
@@ -44,7 +45,7 @@ def run_case(name: str, out: Path) -> dict[str, bytes]:
     argv, files = CASES[name]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv + ["--out", str(out)])
+        code = cli.main(argv + (["--out", str(out)] if files else []))
     text = f"exit: {code}\n[stdout]\n{stdout.getvalue()}[stderr]\n{stderr.getvalue()}"
     result = {f"{name}.txt": text.replace(str(out), "OUT").encode()}
     for file in files:
