@@ -76,41 +76,30 @@ def _cmd_example_one(args) -> int:
     menu = acceptance_mod.worked_menu()
     contract = acceptance_mod.worked_contract()
     game = SimpleAnnouncement(contract)
+    # (prior, what the expert does, expected value, note)
+    cases = [(mu, "informed", 50.0, "(learning pays) ") for mu in (0.35, 0.45, 0.5, 0.55, 0.65)]
+    cases += [
+        (mu, "stay-put", contract.u - contract.d * min(mu, 1.0 - mu), "")
+        for mu in (0.1, 0.25, 1.0 / 3.0, 2.0 / 3.0, 0.9)
+    ]
     ok = True
     rows = []
-    for mu in (0.35, 0.45, 0.5, 0.55, 0.65):
-        got = informed_value(menu, game, belief2(mu))
-        rows.append((mu, game.value(belief2(mu)), got.value))
-        flag = abs(got.value - 50.0) <= 1e-9
+    for mu, label, want, note in cases:
+        got = informed_value(menu, game, belief2(mu)).value
+        rows.append((mu, game.value(belief2(mu)), got))
+        flag = abs(got - want) <= 1e-9
         ok &= flag
-        print(
-            f"prior {mu:4.2f}: informed {got.value:10.4f}  "
-            f"(learning pays) {'ok' if flag else 'MISMATCH: expected 50'}"
-        )
-    for mu in (0.1, 0.25, 1.0 / 3.0, 2.0 / 3.0, 0.9):
-        stay = game.value(belief2(mu))
-        got = informed_value(menu, game, belief2(mu))
-        rows.append((mu, stay, got.value))
-        want = contract.u - contract.d * min(mu, 1.0 - mu)
-        flag = abs(got.value - want) <= 1e-9
-        ok &= flag
-        print(
-            f"prior {mu:4.2f}: stay-put {got.value:10.4f}  "
-            f"{'ok' if flag else f'MISMATCH: expected {want:g}'}"
-        )
+        verdict = "ok" if flag else f"MISMATCH: expected {want:g}"
+        print(f"prior {mu:4.2f}: {label} {got:10.4f}  {note}{verdict}")
     outside = uninformed_maximin(game, 2).value
     flag = abs(outside - (-50.0)) <= 1e-9
     ok &= flag
     print(f"uninformed maximin: {outside:.4f} {'ok' if flag else 'MISMATCH'}")
-    if args.fmt in ("csv", "both"):
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "example_one.csv")
-        write_csv(
-            path,
-            ["prior", "stay_put", "informed"],
-            [[format(v, ".12g") for v in row] for row in rows],
-        )
-        print(f"wrote {path}")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "example_one.csv")
+    write_csv(path, ["prior", "stay_put", "informed"],
+              [[format(v, ".12g") for v in row] for row in rows])
+    print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -254,8 +243,7 @@ _OPTIONS = {
 
 # name: (handler, the options it reads and so takes, help)
 _COMMANDS = {
-    "example-one": (_cmd_example_one, ("--out", "--format"),
-                    "verify the worked two-state menu scenario"),
+    "example-one": (_cmd_example_one, ("--out",), "verify the worked two-state menu scenario"),
     "figure": (_cmd_figure, ("--config", "--grid", "--out", "--format"),
                "emit payoff/objective/envelope traces for a two-state contract"),
     "screen": (_cmd_screen, ("--config", "--grid"), "verify that a configured contract screens"),

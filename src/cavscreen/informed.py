@@ -3,10 +3,20 @@
 Under a fixed menu the expert picks the priced experiment (or none) with the
 best expected payoff at the induced posteriors.  Under a posterior-separable
 cost the optimal strategy concavifies the net objective V - kappa*c; the
-informed value is that envelope plus kappa*c at the prior.  For the Shannon
-cost (negative entropy) on four or more states the concavification is solved
-exactly and certified by ``shannon.solve``, with no belief grid; otherwise it
-is taken over a belief grid, which biases the value low.
+informed value is that envelope plus kappa*c at the prior.  A single prior
+is the one-row case of a sweep over priors, on one of three routes:
+
+- menus score each entry against staying put in closed form;
+- the Shannon cost (negative entropy) on four or more states is solved
+  exactly and certified by ``shannon.solve``, with no belief grid;
+- every other cost samples the objective on the lattice stacked with the
+  queried priors and takes the concave envelope of those samples, which
+  biases the value low: a 1-D envelope on two states, a hull on three, and
+  on four or more a hull for a sweep but the concavification LP for a
+  single prior.
+
+A single prior's value is its sweep row bit for bit, except on that LP,
+which agrees with the hull to LP accuracy.
 """
 
 from __future__ import annotations
@@ -51,23 +61,19 @@ def _exact(model: CostModel, n: int) -> bool:
     return isinstance(model, PosteriorSeparable) and model.potential == neg_entropy() and n >= 4
 
 
-def _grid_with(mu: Belief, resolution: int) -> np.ndarray:
-    """The LP route's grid: the lattice, joined by mu when mu is off it."""
-    grid = simplex_grid_array(mu.n, resolution)
-    if not (np.abs(grid - mu.probs).max(axis=1) <= 1e-12).any():
-        grid = np.vstack([grid, mu.probs])
-    return grid
-
-
-def _envelope(
+def _objective(
     model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
-) -> Envelope1d | SimplexEnvelope:
-    """Envelope of the objective V - kappa*c sampled on the lattice stacked
-    with the queried priors."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice stacked with the queried priors, and the objective
+    V - kappa*c sampled on those rows."""
     n = priors.shape[1]
     grid = np.vstack([simplex_grid_array(n, resolution or default_resolution(n)), priors])
-    g = game.batch(grid) - model.kappa * model.potential.batch(grid)
-    return Envelope1d(grid[:, 0], g) if n == 2 else SimplexEnvelope(grid, g)
+    return grid, game.batch(grid) - model.kappa * model.potential.batch(grid)
+
+
+def _envelope(grid: np.ndarray, g: np.ndarray) -> Envelope1d | SimplexEnvelope:
+    """Envelope of the samples g on the rows of grid."""
+    return Envelope1d(grid[:, 0], g) if grid.shape[1] == 2 else SimplexEnvelope(grid, g)
 
 
 def informed_value(
@@ -80,10 +86,6 @@ def informed_value(
     posterior plan that attains it and the learning cost it incurs.
 
     Ties between learning and not learning resolve toward not learning.
-    Menus, the Shannon cost on n >= 4 states and every cost on two or three
-    states give one row of ``informed_value_sweep``, bit for bit: the value
-    and the plan are read off the envelope the sweep builds.  Other costs on
-    n >= 4 states solve the concavification LP over the grid.
     """
     if isinstance(model, FixedMenu):
         # One row of the sweep; argmax keeps the first best, so ties stay put.
@@ -102,16 +104,11 @@ def informed_value(
         if not solution.stay[0]:
             support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
             plan = _prune_plan(support, weights, mu)
-    elif mu.n <= 3:
-        # One row of the sweep; the plan is read off the envelope above mu.
-        priors = mu.probs[None, :]
-        env, plan = _envelope(model, game, priors, resolution).split(mu)
-        value = float((env + model.kappa * model.potential.batch(priors))[0])
     else:
-        grid = _grid_with(mu, resolution or default_resolution(mu.n))
-        g = game.batch(grid) - model.kappa * model.potential.batch(grid)
-        env, plan = concavify_lp(grid, g, mu)
-        value = env + model.kappa * model.potential.value(mu)
+        priors = mu.probs[None, :]
+        grid, g = _objective(model, game, priors, resolution)
+        env, plan = concavify_lp(grid, g, mu) if mu.n >= 4 else _envelope(grid, g).split(mu)
+        value = float((env + model.kappa * model.potential.batch(priors))[0])
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
         return InformedResult(value, degenerate(mu), 0.0)
@@ -149,19 +146,14 @@ def informed_value_sweep(
     priors,
     resolution: int | None = None,
 ) -> np.ndarray:
-    """Informed net value at every prior row, vectorized.
-
-    Menus score each entry against the null in closed form.  The Shannon
-    cost on n >= 4 states is solved exactly at each prior, and ``resolution``
-    is unused.  Other posterior-separable models build one envelope over the
-    grid joined with the queried priors and evaluate it in batch.
-    """
+    """Informed net value at every prior row, vectorized; ``resolution``
+    is unused on the exact Shannon route."""
     priors = np.asarray(priors, dtype=float)
     if isinstance(model, FixedMenu):
         return _menu_candidates(model, game, priors).max(axis=0)
     n = priors.shape[1]
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
-    env = _envelope(model, game, priors, resolution)
-    values = env.values(priors[:, 0] if n == 2 else priors)
+    grid, g = _objective(model, game, priors, resolution)
+    values = _envelope(grid, g).values(priors[:, 0] if n == 2 else priors)
     return values + model.kappa * model.potential.batch(priors)

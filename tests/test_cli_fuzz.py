@@ -21,7 +21,7 @@ import cavscreen.cli as cli
 
 # The options each command reads.
 READS = {
-    "example-one": {"--out", "--format"},
+    "example-one": {"--out"},
     "figure": {"--config", "--grid", "--out", "--format"},
     "screen": {"--config", "--grid"},
     "prop2": {"--config", "--grid"},

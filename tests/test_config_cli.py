@@ -246,7 +246,7 @@ class TestXiScreenCommand:
 
 # The options each command takes: the ones it reads.  Adding one shows up here.
 OPTIONS = {
-    "example-one": ["--out", "--format"],
+    "example-one": ["--out"],
     "figure": ["--config", "--grid", "--out", "--format"],
     "screen": ["--config", "--grid"],
     "prop2": ["--config", "--grid"],
@@ -265,14 +265,15 @@ class TestCommandLine:
             for name, sub in subs.choices.items()
         }
         assert taken == OPTIONS
-        assert sum(map(len, taken.values())) == 13
+        assert sum(map(len, taken.values())) == 12
 
     @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(["screen", "--grid", "abc"], id="grid-not-an-int"),
             pytest.param(["xi-screen", "--seed", "1.5"], id="seed-not-an-int"),
-            pytest.param(["example-one", "--format", "pdf"], id="unknown-format"),
+            pytest.param(["figure", "--format", "pdf"], id="unknown-format"),
+            pytest.param(["example-one", "--format", "svg"], id="example-one-format"),
             pytest.param(["figure", "--config"], id="config-without-path"),
             pytest.param(["screen", "--bogus"], id="unknown-flag"),
             pytest.param(["screen", "--config", "configs/example_one.yaml", "--out", "d"],

@@ -200,6 +200,32 @@ class TestThreeStatePoints:
             assert abs(achieved - res.value) <= 1e-9 * (1.0 + abs(res.value))
 
 
+# Priors on four and five states, on the resolution-8 lattice (a vertex, the
+# centre or a lattice point) and between its points.  Under the quadratic
+# cost the priors with a zero coordinate stay put and the others learn.
+LP_PRIORS = (
+    (0.0, 0.0, 0.0, 1.0), (0.25, 0.25, 0.25, 0.25), (0.125, 0.375, 0.5, 0.0),
+    (0.15, 0.35, 0.5, 0.0), (0.1, 0.2, 0.3, 0.4), (0.31, 0.07, 0.22, 0.4),
+    (0.5, 0.0, 0.25, 0.0, 0.25), (0.125, 0.25, 0.125, 0.375, 0.125),
+    (0.45, 0.0, 0.3, 0.0, 0.25), (0.11, 0.23, 0.19, 0.3, 0.17),
+)
+
+
+class TestLpPoints:
+    @pytest.mark.parametrize("probs", LP_PRIORS)
+    def test_point_agrees_with_the_sweep_row_on_the_same_samples(self, probs):
+        model, game = THREE_STATE_GAMES["quadratic"]
+        mu = Belief(probs)
+        res = informed_value(model, game, mu, resolution=8)
+        want = informed_value_sweep(model, game, mu.probs[None], resolution=8)[0]
+        assert abs(res.value - want) <= 1e-9 * (1.0 + abs(want))
+        plan = res.plan
+        assert len(plan) <= mu.n
+        np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
+        achieved = float(plan.weights @ game.batch(plan.support_matrix)) - res.cost
+        assert abs(achieved - res.value) <= 1e-9 * (1.0 + abs(res.value))
+
+
 class TestRoutes:
     def test_only_four_or_more_states_reach_the_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
