@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import xlogy
 
+from . import shannon
 from .costs import FixedMenu, PosteriorSeparable, neg_entropy
 from .envelopes import concavify_1d, concavify_lp
 from .experiments import symmetric_binary
@@ -344,6 +345,35 @@ def criterion_figure_ordering() -> tuple[bool, str]:
         f"curves rise away from 1/2; plans: 0.47 stays, "
         f"0.50 splits onto {len(center_plan)} points, 0.53 stays"
     )
+
+
+@_criterion("shannon-screening-window", budget=10.0)
+def criterion_shannon_window() -> tuple[bool, str]:
+    """Under the Shannon cost and a common fine d, a contract screens exactly
+    when -kappa log(1 - beta / n) <= u < d / n, beta = 1 - exp(-d / kappa).
+    The window is never empty: falsifiability screens once the expert can
+    buy information."""
+    rng = np.random.default_rng(15)
+    step = 1e-6
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        kappa = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        d = float(rng.uniform(0.2, 5.0))
+        edge = -kappa * float(np.log1p(np.expm1(-d / kappa) / n))
+        where = f"n={n} kappa={kappa:.4g} d={d:.4g}"
+        if not edge * (1.0 + step) < d / n:
+            return False, f"{where}: window [{edge:.6g}, {d / n:.6g}) too narrow"
+        model = PosteriorSeparable(kappa, neg_entropy())
+        for u, want in ((edge * (1.0 + step), True), (edge * (1.0 - step), False)):
+            report = screens(model, Contract(u, d), n)
+            worst = report.worst_prior.probs[None, :]
+            at_worst = float(shannon.solve(u - d * np.eye(n), kappa, worst).values[0])
+            if report.screens != want or (at_worst >= 0.0) != want:
+                return False, (
+                    f"{where} u={u:.9g}: screens={report.screens}, "
+                    f"solver {at_worst:.3g} at the worst prior, want screens={want}"
+                )
+    return True, "40 games screen just above -kappa log(1 - beta/n) and not just below"
 
 
 def run_all() -> list[CriterionResult]:

@@ -133,10 +133,20 @@ def concavify_1d(xs, fs, mu: float) -> tuple[float, PosteriorDistribution]:
 def _contact(points, fs, query, value) -> int | None:
     """Index of the sample at the query (one sample per row of ``points``,
     or per entry if 1-D) when it reaches the envelope ``value`` there, so
-    that staying put is optimal; else None."""
-    diffs = np.abs(points - query).reshape(len(points), -1).max(axis=1)
-    at = int(diffs.argmin())
-    if diffs[at] <= _WEIGHT_TOL and fs[at] >= value - _CONTACT_TOL * (1.0 + abs(value)):
+    that staying put is optimal; else None.
+
+    Only rows whose first coordinate lies within tolerance of the query's
+    can be within it in the max-norm, so the scan starts from those; they
+    keep their order, so ties still go to the first row."""
+    points = np.asarray(points).reshape(len(points), -1)
+    query = np.reshape(query, -1)
+    near = np.flatnonzero(np.abs(points[:, 0] - query[0]) <= _WEIGHT_TOL)
+    if not near.size:
+        return None
+    diffs = np.abs(points[near] - query).max(axis=1)
+    best = int(diffs.argmin())
+    at = int(near[best])
+    if diffs[best] <= _WEIGHT_TOL and fs[at] >= value - _CONTACT_TOL * (1.0 + abs(value)):
         return at
     return None
 

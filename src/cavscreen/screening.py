@@ -2,10 +2,14 @@
 
 A contract screens when every informed type keeps a nonnegative net value
 while the uninformed type's value is strictly negative.  This module holds
-the closed-form uninformed values, the grid verifier, and three contract
+the closed-form uninformed values, the verifier, and three contract
 constructions: a certified payment/fine pipeline built from a valuability
 probe, fines equalized against a target belief, and a fine search that
 drives the rejection measure of belief-holding uninformed types to 1 - xi.
+
+The verifier sweeps a belief lattice, or the stack of priors it is given.
+For a rule-out game under the Shannon cost, with no prior set named, it
+needs no sweep: the informed minimum over the whole simplex is closed-form.
 
 Under a common fine d the informed net value is the payment u plus a part
 that does not depend on u, so one sweep per fine prices every payment and
@@ -19,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostModel, FixedMenu, PosteriorSeparable
+from . import shannon
+from .costs import CostModel, FixedMenu, PosteriorSeparable, neg_entropy
 from .errors import (
     AssumptionViolated,
     BoundaryPrior,
@@ -94,7 +99,8 @@ def _center(model: CostModel, center: Belief | None, n: int | None) -> Belief:
 
 @dataclass(frozen=True)
 class ScreeningReport:
-    """Grid verification of a contract against one cost model."""
+    """Verification of a contract against one cost model, over a prior grid
+    or, at resolution 0, the whole simplex."""
 
     contract: Contract
     n: int
@@ -144,13 +150,19 @@ def screens(
     rho: Belief | None = None,
     variant: str = "simple",
 ) -> ScreeningReport:
-    """Verify the screening property on a belief grid.
+    """Verify the screening property over a set of priors.
 
     ``uninformed`` picks the outside type: "maximin" for a beliefless expert,
-    "seu" for one holding belief ``rho`` on the game's states.  ``grid``
-    replaces the default simplex lattice with an explicit stack of priors.
-    ``variant`` picks the game both types play: "simple" rules out one
-    state, "urn" plays color calls on three states.
+    "seu" for one holding belief ``rho`` on the game's states.  ``variant``
+    picks the game both types play: "simple" rules out one state, "urn"
+    plays color calls on three states.
+
+    Naming a prior set asks for a lattice verdict: ``resolution`` sets the
+    simplex lattice, and ``grid`` replaces it with an explicit stack of
+    priors.  Without either, a Shannon-cost rule-out game is judged exactly
+    over the whole simplex by ``shannon.rule_out_minimum`` (resolution 0 in
+    the report, whose worst prior may lie off every lattice); every other
+    model and game sweeps the default lattice.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
@@ -158,10 +170,16 @@ def screens(
         raise ValueError(f"unknown uninformed kind: {uninformed!r}")
     if uninformed == "seu" and rho is None:
         raise ValueError("seu comparison needs the uninformed belief rho")
+    whole = (
+        grid is None and resolution is None and variant == "simple"
+        and isinstance(model, PosteriorSeparable) and model.potential == neg_entropy()
+    )
     game = VARIANTS[variant](contract)
     n = game.states(_state_count(model, n))
     resolution = resolution or default_resolution(n)
     if grid is None:
+        # Built for the closed form too, which needs no lattice: its size
+        # check keeps a state count too large for the default lattice an error.
         points, prior_set = simplex_grid_array(n, resolution), None
     else:
         points = np.asarray(
@@ -180,11 +198,17 @@ def screens(
         raise DimensionMismatch(
             f"the game has n={n}, its priors, rho or menu experiments have {sorted(widths)}"
         )
-    net = informed_value_sweep(model, game, points)
     if uninformed == "maximin":
         outside = uninformed_maximin(game, n).value
     else:
         outside = game.value(rho)
+    if whole:
+        shortfall, worst = shannon.rule_out_minimum(contract.fines(n), model.kappa)
+        return ScreeningReport(
+            contract, n, 0, uninformed, outside, contract.u + shortfall, Belief(worst),
+            "whole simplex",
+        )
+    net = informed_value_sweep(model, game, points)
     return _report(contract, n, resolution, points, net, outside, uninformed, prior_set)
 
 

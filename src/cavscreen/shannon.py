@@ -30,10 +30,11 @@ states sorted by mu_i beta_i.  On the prefix of length m, sum p = 1 gives
 and the condition mu_m beta_m < lambda_m holds for every m up to the
 active count and for none beyond it, so the prefix is the longest one that
 meets it: a water-fill, the shape of a Euclidean projection onto the
-simplex (Duchi et al. 2008).  Every other game, and every closed-form row
-whose certificate fails to rounding, goes to a log-barrier Newton method on
-p over the stack of remaining priors, which stops each prior once its bound
-holds.  A prior it cannot certify raises.
+simplex (Duchi et al. 2008).  The least of these values over every prior
+is closed-form too (``rule_out_minimum``).  Every other game, and every
+closed-form row whose certificate fails to rounding, goes to a log-barrier
+Newton method on p over the stack of remaining priors, which stops each
+prior once its bound holds.  A prior it cannot certify raises.
 """
 
 from __future__ import annotations
@@ -119,6 +120,27 @@ def _water_fill(P, E, kappa: float, mu: np.ndarray, tol: float):
         values = ((top + kappa * np.log(s)) * mu).sum(axis=1)
         certified = np.isfinite(c).all(axis=1) & (c.max(axis=1) - 1.0 <= tol)
     return values, p, certified
+
+
+def rule_out_minimum(fines, kappa: float) -> tuple[float, np.ndarray]:
+    """The least informed value over every prior of the rule-out game with
+    these fines, less the payment, and the prior mu-hat that attains it.
+
+    By Sion's minimax theorem the minimum over priors equals the maximum
+    over action weights p of min_i kappa log(1 - beta_i p_i).  Each term
+    falls in p_i alone, so the optimum equalizes them at p_i proportional to
+    1 / beta_i, which gives kappa log(1 - 1 / sum_i 1 / beta_i), attained at
+    mu-hat = p.  It is evaluated on t = kappa beta, taken as d itself where
+    d / kappa is below rounding, and on ratios to the smallest t, so no step
+    overflows or divides by zero for any positive fines and kappa.
+    """
+    d = np.asarray(fines, dtype=float)
+    # d / kappa, left at inf where exp(-d / kappa) already rounds beta to 1.
+    x = np.divide(d, kappa, out=np.full(d.shape, np.inf), where=d / 64.0 < kappa)
+    t = np.where(x < np.finfo(float).eps, d, -kappa * np.expm1(-x))
+    ratio = t.min() / t
+    total = ratio.sum()
+    return float(kappa * np.log1p(-t.min() / kappa / total)), ratio / total
 
 
 def _newton(E, top, kappa: float, mu: np.ndarray, tol: float):

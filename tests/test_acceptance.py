@@ -41,6 +41,9 @@ class TestAcceptance:
     def test_figure_ordering(self):
         check(acceptance.criterion_figure_ordering(), "figure-ordering")
 
+    def test_shannon_screening_window(self):
+        check(acceptance.criterion_shannon_window(), "shannon-screening-window")
+
     def test_criteria_run_in_definition_order(self):
         assert acceptance.ALL_CRITERIA == [
             acceptance.criterion_worked_example,
@@ -52,6 +55,7 @@ class TestAcceptance:
             acceptance.criterion_rejection_search,
             acceptance.criterion_maximin_closed_form,
             acceptance.criterion_figure_ordering,
+            acceptance.criterion_shannon_window,
         ]
 
     def test_a_check_that_raises_or_overruns_fails(self, monkeypatch):

@@ -21,6 +21,7 @@ from cavscreen import (
     uniform_belief,
 )
 from cavscreen.costs import neg_entropy, quadratic
+from cavscreen.envelopes import _CONTACT_TOL, _WEIGHT_TOL, _contact
 from helpers import barycenter, facet_minimum, scan_hull
 
 EPS = np.finfo(float).eps
@@ -246,6 +247,49 @@ class TestConcavifyLp:
         inner = grid[(grid[:, 0] >= 0.3) & (grid[:, 0] <= 0.7)]
         with pytest.raises(InfeasibleBarycenter):
             concavify_lp(inner, np.zeros(len(inner)), belief2(0.1))
+
+
+def _contact_scan(points, fs, query, value):
+    """The stay-put test by the max-norm distance of every sample row."""
+    diffs = np.abs(points - query).reshape(len(points), -1).max(axis=1)
+    at = int(diffs.argmin())
+    if diffs[at] <= _WEIGHT_TOL and fs[at] >= value - _CONTACT_TOL * (1.0 + abs(value)):
+        return at
+    return None
+
+
+class TestContact:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_the_full_scan(self, width):
+        """Coarse random rows, so duplicates and ties are common, queried at
+        a row (exactly, or off it by less or more than the tolerance) and
+        at random points, against values the sample meets or falls short of."""
+        rng = np.random.default_rng(50 + width)
+        seen = {"match": 0, "none": 0, "too-low": 0, "tie": 0}
+        for _ in range(400):
+            shape = (int(rng.integers(1, 40)),) + ((width,) if width > 1 else ())
+            points = rng.integers(0, 4, size=shape) / 4.0
+            fs = rng.uniform(-1.0, 1.0, size=shape[0])
+            row = points[int(rng.integers(shape[0]))]
+            query = rng.choice([
+                row,
+                row + rng.choice([-1.0, 1.0], size=row.shape) * 0.5 * _WEIGHT_TOL,
+                row + 2.0 * _WEIGHT_TOL,
+                rng.uniform(0.0, 1.0, size=row.shape),
+            ])
+            value = float(rng.choice(fs)) + rng.choice([0.0, 0.5, -0.5, 1e-11])
+            got = _contact(points, fs, query, value)
+            assert got == _contact_scan(points, fs, query, value)
+            flat = points.reshape(len(points), -1)
+            near = np.abs(flat - query).max(axis=1) <= _WEIGHT_TOL
+            if got is not None:
+                seen["match"] += 1
+            elif near.any():
+                seen["too-low"] += 1
+            else:
+                seen["none"] += 1
+            seen["tie"] += near.sum() > 1
+        assert min(seen.values()) >= 10, seen
 
 
 def _net(game, kappa, potential):

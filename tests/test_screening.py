@@ -21,12 +21,14 @@ from cavscreen import (
     ball_grid,
     belief2,
     construct_screening_contract,
+    default_resolution,
     fully_informative,
     informed_value,
     informed_value_sweep,
     lp_maximin,
     neg_entropy,
     prop2_contract,
+    quadratic,
     rejection_measure,
     screens,
     symmetric_binary,
@@ -35,7 +37,7 @@ from cavscreen import (
     upsilon,
     xi_screen_search,
 )
-from cavscreen import screening
+from cavscreen import screening, shannon
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
 from helpers import rejection_measure_mc
@@ -191,6 +193,67 @@ class TestScreens:
         text = report.to_text()
         assert "screens: yes" in text
         assert "u=250" in text
+
+
+class _Swept(Exception):
+    pass
+
+
+def _refuse_sweep(monkeypatch):
+    """Make every lattice or custom-grid sweep in ``screens`` raise _Swept."""
+    def refuse(*args, **kwargs):
+        raise _Swept
+
+    monkeypatch.setattr(screening, "informed_value_sweep", refuse)
+
+
+class TestWholeSimplex:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_default_shannon_rule_out_verdicts_take_the_closed_form(self, monkeypatch, n):
+        _refuse_sweep(monkeypatch)
+        model = PosteriorSeparable(0.3, neg_entropy())
+        rho = Belief(np.arange(1.0, n + 1.0) / (n * (n + 1) / 2))
+        for contract, kind in (
+            (Contract(0.2, 1.0), "maximin"),
+            (prop2_contract(rho, 0.1, 1.0), "maximin"),
+            (prop2_contract(rho, 0.1, 1.0), "seu"),
+        ):
+            report = screens(model, contract, n, uninformed=kind, rho=rho)
+            assert (report.prior_set, report.resolution) == ("whole simplex", 0)
+            assert isinstance(report.resolution, int)
+            assert f"states: {n}   priors: whole simplex\n" in report.to_text()
+            P = contract.u - np.diag(contract.fines(n))
+            at_worst = shannon.solve(P, 0.3, report.worst_prior.probs[None, :]).values[0]
+            assert report.informed_min == pytest.approx(at_worst, abs=1e-12)
+
+    def test_named_prior_sets_and_other_games_still_sweep(self, monkeypatch):
+        _refuse_sweep(monkeypatch)
+        entropy = PosteriorSeparable(0.3, neg_entropy())
+        contract = Contract(0.2, 1.0)
+        calls = [
+            lambda: screens(entropy, contract, 3, resolution=20),
+            lambda: screens(entropy, contract, 3, grid=[uniform_belief(3)]),
+            lambda: screens(entropy, Contract(0.0485, 0.1), variant="urn"),
+            lambda: screens(PosteriorSeparable(0.3, quadratic()), contract, 3),
+            lambda: screens(worked_menu(), worked_contract(), 2),
+        ]
+        for call in calls:
+            with pytest.raises(_Swept):
+                call()
+
+    def test_a_contract_between_the_lattice_and_whole_minima(self):
+        # The default n = 4 lattice misses the worst prior: it reads +2.7e-3
+        # and screens, while the uniform belief nets -2.5e-3.
+        model = PosteriorSeparable(3.0, neg_entropy())
+        contract = Contract(0.218, 1.0)
+        lattice = screens(model, contract, 4, resolution=default_resolution(4))
+        assert lattice.screens and lattice.informed_min == pytest.approx(2.7e-3, abs=1e-4)
+        whole = screens(model, contract, 4)
+        assert not whole.screens
+        assert whole.informed_min == pytest.approx(-2.5e-3, abs=1e-4)
+        np.testing.assert_allclose(whole.worst_prior.probs, 0.25, rtol=0, atol=1e-15)
+        at_worst = informed_value(model, SimpleAnnouncement(contract), whole.worst_prior)
+        assert at_worst.value == pytest.approx(whole.informed_min, abs=1e-12)
 
 
 class TestAssumptionProbe:
@@ -377,11 +440,12 @@ class TestXiScreen:
         assert abs(phat - rejection_measure(contract, 2)) <= 3.0 * max(half, 1e-4)
 
     def test_informed_worst_case_is_exactly_whole(self):
-        # The payment is the smallest one every grid prior accepts.
+        # The payment is the smallest one every prior of the search's
+        # lattice accepts, so a verdict on that lattice reads zero.
         model = PosteriorSeparable(0.01, neg_entropy())
         found = xi_screen_search(model, 0.2, n=2, samples=20_000, seed=8)
         assert abs(found.informed_min) <= 1e-12
-        fresh = screens(model, found.contract, 2)
+        fresh = screens(model, found.contract, 2, resolution=1000)
         assert fresh.informed_min == pytest.approx(0.0, abs=1e-12)
 
 

@@ -1,9 +1,11 @@
 """Exact Shannon informed values at n >= 4: the closed-form water-fill for
 rule-out games and the batched Newton solver for every other game, checked
 against their certificate, each other, the grid routes they replaced, and
-their plans."""
+their plans; and the closed-form minimum of a rule-out game over every
+prior, checked against the solver."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cavscreen import (
     SimpleAnnouncement,
     SimplexEnvelope,
     concavify_lp,
+    default_resolution,
     distribution_cost,
     informed_value,
     informed_value_sweep,
@@ -215,3 +218,53 @@ def test_other_models_and_three_states_stay_on_the_grid(monkeypatch):
     ):
         informed_value_sweep(model, game, simplex_grid_array(n, 4), resolution=6)
         informed_value(model, game, Belief(np.full(n, 1.0 / n)), resolution=6)
+
+
+def rule_out_fines(n, kind):
+    """One common fine, or one fine per state drawn in [0.3, 3]."""
+    if kind == "common":
+        return np.ones(n)
+    return np.random.default_rng(30 + n).uniform(0.3, 3.0, size=n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", ("common", "per-state"))
+@pytest.mark.parametrize("kappa", (0.01, 0.3, 3.0))
+def test_rule_out_minimum_is_the_value_at_its_prior(n, kind, kappa):
+    u, fines = 0.2, rule_out_fines(n, kind)
+    shortfall, worst = shannon.rule_out_minimum(fines, kappa)
+    assert worst.min() > 0.0 and worst.sum() == pytest.approx(1.0, abs=1e-15)
+    value = u + shortfall
+    at_worst = shannon.solve(u - np.diag(fines), kappa, worst[None, :]).values[0]
+    assert abs(at_worst - value) <= 1e-12 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("kind", ("common", "per-state"))
+@pytest.mark.parametrize("kappa", (0.01, 0.3, 3.0))
+def test_no_prior_falls_below_the_rule_out_minimum(n, kind, kappa):
+    u, fines = 0.2, rule_out_fines(n, kind)
+    shortfall, _ = shannon.rule_out_minimum(fines, kappa)
+    rng = np.random.default_rng(40 + n)
+    mu = np.vstack([
+        simplex_grid_array(n, default_resolution(n)),
+        rng.dirichlet(np.ones(n), 500),
+        rng.dirichlet(np.full(n, 0.2), 500),
+    ])
+    values = shannon.solve(u - np.diag(fines), kappa, mu).values
+    assert values.min() >= u + shortfall - 1e-12
+
+
+@pytest.mark.parametrize("kappa", (1e-300, 1e300))
+@pytest.mark.parametrize("fines", (
+    [1e-300, 1e-300], [1e300, 1e300, 1e300], [1e-300, 1e300], [1e-300, 1.0, 1e300, 1e300],
+))
+def test_rule_out_minimum_stays_finite_at_extremes(kappa, fines):
+    fines = np.array(fines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shortfall, worst = shannon.rule_out_minimum(fines, kappa)
+    assert np.isfinite(shortfall) and np.isfinite(worst).all()
+    assert worst.min() >= 0.0 and worst.sum() == pytest.approx(1.0, abs=1e-15)
+    # Learning never hurts, and the uninformed maximin is a floor for it.
+    assert -1.0 / np.sum(1.0 / fines) * (1.0 + 1e-12) <= shortfall <= 0.0
