@@ -44,7 +44,6 @@ from .experiments import (
 )
 from .informed import (
     InformedResult,
-    default_resolution,
     informed_value,
     informed_value_sweep,
 )
@@ -73,6 +72,7 @@ from .simplex import (
     PosteriorDistribution,
     ball_grid,
     belief2,
+    default_resolution,
     degenerate,
     simplex_grid_array,
     uniform_belief,

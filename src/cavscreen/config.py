@@ -14,7 +14,6 @@ import yaml
 from .costs import CostModel, FixedMenu, Potential, PosteriorSeparable, potential_by_name
 from .errors import ConfigError
 from .experiments import Experiment
-from .informed import default_resolution
 from .simplex import Belief, Contract, ball_grid
 
 
@@ -192,8 +191,7 @@ def ball_from(cfg: dict, resolution: int | None) -> np.ndarray | None:
     eta = _require(section, "eta", float, "ball") if "eta" in section else 0.1
     try:
         return ball_grid(
-            center, eta, resolution or default_resolution(center.n),
-            norm=section.get("norm", "euclidean"),
+            center, eta, resolution, norm=section.get("norm", "euclidean"),
         )
     except ValueError as exc:
         raise ConfigError(f"ball: {exc}") from exc

@@ -42,9 +42,13 @@ def neg_entropy() -> Potential:
     return Potential("neg-entropy", _neg_entropy_batch)
 
 
+def _quadratic_batch(pts: np.ndarray) -> np.ndarray:
+    return (pts * pts).sum(axis=1)
+
+
 def quadratic() -> Potential:
     """c(x) = sum_i x_i^2."""
-    return Potential("quadratic", lambda pts: (pts * pts).sum(axis=1))
+    return Potential("quadratic", _quadratic_batch)
 
 
 def potential_by_name(name: str) -> Potential:

@@ -13,7 +13,9 @@ is the one-row case of a sweep over priors, on one of three routes:
   queried priors and takes the concave envelope of those samples, which
   biases the value low: a 1-D envelope on two states, a hull on three, and
   on four or more a hull for a sweep but the concavification LP for a
-  single prior.
+  single prior.  Priors equal to the lattice are sampled once, not stacked
+  on it; the potential on the shared default lattice is computed once per
+  potential.
 
 A single prior's value is its sweep row bit for bit, except on that LP,
 which agrees with the hull to LP accuracy.
@@ -21,7 +23,7 @@ which agrees with the hull to LP accuracy.
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -30,23 +32,9 @@ from . import shannon
 from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
 from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_lp
 from .experiments import induced_posterior_distribution
-from .simplex import Belief, PosteriorDistribution, degenerate, simplex_grid_array
+from .simplex import Belief, PosteriorDistribution, _frozen_array, default_resolution
+from .simplex import degenerate, simplex_grid_array
 from .values import DecisionProblem
-
-# Largest point count allowed when picking grid resolutions for n >= 4.
-_GRID_BUDGET = 8000
-
-
-def default_resolution(n: int) -> int:
-    """Belief-grid resolution used when the caller does not pin one."""
-    if n == 2:
-        return 1000
-    if n == 3:
-        return 200
-    r = 2
-    while math.comb(r + n, n - 1) <= _GRID_BUDGET:
-        r += 1
-    return r
 
 
 class InformedResult(NamedTuple):
@@ -63,12 +51,25 @@ def _exact(model: CostModel, n: int) -> bool:
 
 def _objective(
     model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice stacked with the queried priors, and the objective
-    V - kappa*c sampled on those rows."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice stacked with the queried priors (or alone when the priors
+    equal it), the objective V - kappa*c sampled on those rows, and kappa*c
+    there."""
     n = priors.shape[1]
-    grid = np.vstack([simplex_grid_array(n, resolution or default_resolution(n)), priors])
-    return grid, game.batch(grid) - model.kappa * model.potential.batch(grid)
+    grid = simplex_grid_array(n, resolution)
+    shared = resolution is None or resolution == default_resolution(n)
+    c = _lattice_potential(model.potential, n) if shared else model.potential.batch(grid)
+    if not np.array_equal(priors, grid):
+        grid = np.vstack([grid, priors])
+        c = np.concatenate([c, model.potential.batch(priors)])
+    kc = model.kappa * c
+    return grid, game.batch(grid) - kc, kc
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice_potential(potential, n: int) -> np.ndarray:
+    """The potential on the shared default lattice of n states, read-only."""
+    return _frozen_array(potential.batch(simplex_grid_array(n)))
 
 
 def _envelope(grid: np.ndarray, g: np.ndarray) -> Envelope1d | SimplexEnvelope:
@@ -105,10 +106,9 @@ def informed_value(
             support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
             plan = _prune_plan(support, weights, mu)
     else:
-        priors = mu.probs[None, :]
-        grid, g = _objective(model, game, priors, resolution)
+        grid, g, kc = _objective(model, game, mu.probs[None, :], resolution)
         env, plan = concavify_lp(grid, g, mu) if mu.n >= 4 else _envelope(grid, g).split(mu)
-        value = float((env + model.kappa * model.potential.batch(priors))[0])
+        value = float(env + kc[-1])
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
         return InformedResult(value, degenerate(mu), 0.0)
@@ -154,6 +154,6 @@ def informed_value_sweep(
     n = priors.shape[1]
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
-    grid, g = _objective(model, game, priors, resolution)
+    grid, g, kc = _objective(model, game, priors, resolution)
     values = _envelope(grid, g).values(priors[:, 0] if n == 2 else priors)
-    return values + model.kappa * model.potential.batch(priors)
+    return values + kc[len(grid) - len(priors) :]

@@ -33,7 +33,7 @@ from .errors import (
     SearchExhausted,
 )
 from .experiments import upsilon_batch
-from .informed import default_resolution, informed_value_sweep
+from .informed import informed_value_sweep
 from .oracle import MaximinSolution, lp_maximin
 from .simplex import (
     COORD_TOL,
@@ -41,7 +41,9 @@ from .simplex import (
     Belief,
     Contract,
     ball_grid,
+    default_resolution,
     distances,
+    grid_size,
     simplex_grid_array,
     uniform_belief,
 )
@@ -133,6 +135,7 @@ def _report(
 ) -> ScreeningReport:
     """Report of informed net values ``net`` at the prior rows ``points``."""
     worst = int(net.argmin())
+    resolution = default_resolution(n) if resolution is None else resolution
     return ScreeningReport(
         contract, n, resolution, kind, outside, float(net[worst]), Belief(points[worst]),
         prior_set or f"simplex grid, resolution {resolution}",
@@ -176,15 +179,16 @@ def screens(
     )
     game = VARIANTS[variant](contract)
     n = game.states(_state_count(model, n))
-    resolution = resolution or default_resolution(n)
-    if grid is None:
-        # Built for the closed form too, which needs no lattice: its size
-        # check keeps a state count too large for the default lattice an error.
+    if whole:
+        # No lattice, but a state count too large for the default one stays an error.
+        grid_size(n, default_resolution(n))
+        points, prior_set = np.empty((0, n)), None
+    elif grid is None:
         points, prior_set = simplex_grid_array(n, resolution), None
     else:
-        points = np.asarray(
-            [mu.probs if isinstance(mu, Belief) else mu for mu in grid], dtype=float
-        )
+        if not isinstance(grid, np.ndarray):
+            grid = [mu.probs if isinstance(mu, Belief) else mu for mu in grid]
+        points = np.asarray(grid, dtype=float)
         prior_set = f"custom grid, {len(points)} priors"
         if points.ndim != 2 or not len(points):
             raise ValueError("a custom grid is a nonempty stack of prior rows")
@@ -266,13 +270,13 @@ def assumption_probe(
     Returns None when no strictly positive improvement is certifiable.
     """
     center = _center(model, center, n)
-    resolution = resolution or default_resolution(center.n)
     ball = ball_grid(center, eta, resolution, norm=norm)
     gain, price = _ball_options(model, ball)
     best = gain.argmax(axis=0), np.arange(len(ball))
     worst, T = float(gain[best].min()), float(price[best].max())
     if worst <= 0.0 or not np.isfinite(T):
         return None
+    resolution = default_resolution(center.n) if resolution is None else resolution
     return AssumptionCertificate(0.99 * worst, T, center, eta, norm, resolution)
 
 
@@ -315,7 +319,6 @@ def construct_screening_contract(
     """
     center = _center(model, center, n)
     n = center.n
-    resolution = resolution or default_resolution(n)
     if assumption is not None:
         epsilon, eta, T = (float(v) for v in assumption)
         if epsilon <= 0.0:
@@ -328,6 +331,7 @@ def construct_screening_contract(
                 f"no plan improves by more than {epsilon:.6g} at cost <= {T:.6g}",
                 prior=Belief(ball[int(ok.argmin())]),
             )
+        resolution = default_resolution(n) if resolution is None else resolution
         certificate = AssumptionCertificate(epsilon, T, center, eta, norm, resolution)
     else:
         certificate = assumption_probe(
@@ -416,7 +420,6 @@ def xi_screen_search(
         raise DimensionMismatch(
             f"n={n}, the menu's experiments have {sorted(_menu_states(model))} states"
         )
-    resolution = resolution or default_resolution(n)
     grid = simplex_grid_array(n, resolution)
     if isinstance(model, FixedMenu):
         scale = max((price for _, price in model.entries), default=0.0) + 1.0
@@ -471,7 +474,7 @@ def design_binary_contract(
     if d <= 0.0:
         raise NoFeasibleU("potential slope is not positive at the threshold")
     hi = d / 2.0
-    grid = simplex_grid_array(2, default_resolution(2))
+    grid = simplex_grid_array(2)
     u_min = -float(_net_less_payment(model, d, grid).min())
     if u_min >= hi:
         raise NoFeasibleU("no payment window below the rejection bound")

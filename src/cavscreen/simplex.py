@@ -1,11 +1,13 @@
-"""Belief-simplex primitives: beliefs, contracts, and distributions over posteriors.
+"""Belief-simplex primitives: beliefs, contracts, distributions over posteriors, lattices.
 
 All types are immutable after construction and safe to share between
-parallel workers.
+parallel workers, as is each state count's shared default lattice.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,8 @@ COORD_TOL = 1e-12
 # Most coordinates (points times states) simplex_grid_array builds: 48 MB of
 # floats, or 2,000,000 points at n = 3, where the default grid has 20,301.
 GRID_CAP = 6_000_000
+# Largest point count allowed when picking grid resolutions for n >= 4.
+_GRID_BUDGET = 8000
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -157,11 +161,21 @@ def degenerate(prior: Belief) -> PosteriorDistribution:
     return PosteriorDistribution((prior,), np.array([1.0]), prior)
 
 
-def simplex_grid_array(n: int, resolution: int) -> np.ndarray:
-    """(N, n) array of all beliefs whose coordinates are multiples of
-    1/resolution, enumerated in lexicographic order. N = C(resolution+n-1, n-1).
+def default_resolution(n: int) -> int:
+    """Belief-grid resolution used when the caller does not pin one."""
+    if n < 2:
+        raise ValueError("need n >= 2 states")
+    if n <= 3:
+        return 1000 if n == 2 else 200
+    r = 2
+    while math.comb(r + n, n - 1) <= _GRID_BUDGET:
+        r += 1
+    return r
 
-    Raises ValueError, before allocating, when N * n exceeds ``GRID_CAP``."""
+
+def grid_size(n: int, resolution: int) -> int:
+    """Point count N = C(resolution+n-1, n-1) of a lattice; raises ValueError,
+    before any enumeration, when N * n exceeds ``GRID_CAP``."""
     if n < 2:
         raise ValueError("need n >= 2 states")
     if resolution < 2:
@@ -175,6 +189,25 @@ def simplex_grid_array(n: int, resolution: int) -> np.ndarray:
                 f"a grid of resolution {resolution} on {n} states exceeds "
                 f"{GRID_CAP:,} coordinates"
             )
+    return points
+
+
+def simplex_grid_array(n: int, resolution: int | None = None) -> np.ndarray:
+    """(N, n) array of all beliefs whose coordinates are multiples of
+    1/resolution, in lexicographic order, sized by ``grid_size`` before it is
+    built.  At the default resolution every call returns one read-only array."""
+    if resolution is None or resolution == default_resolution(n):
+        return _default_lattice(n)
+    return _lattice(n, resolution)
+
+
+@functools.lru_cache(maxsize=8)
+def _default_lattice(n: int) -> np.ndarray:
+    return _frozen_array(_lattice(n, default_resolution(n)))
+
+
+def _lattice(n: int, resolution: int) -> np.ndarray:
+    grid_size(n, resolution)
     return _lattice_counts(n, resolution) / float(resolution)
 
 
@@ -200,7 +233,7 @@ def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
 
 
 def ball_grid(
-    center: Belief, eta: float, resolution: int, norm: str = "euclidean"
+    center: Belief, eta: float, resolution: int | None = None, norm: str = "euclidean"
 ) -> np.ndarray:
     """(k, n) lattice rows within distance eta of center, in lattice order.
 

@@ -25,6 +25,7 @@ from cavscreen import (
     symmetric_binary,
     uniform_belief,
 )
+from cavscreen.config import cost_model_from, load_config
 from helpers import garble, shifted
 
 
@@ -151,3 +152,13 @@ class TestPotentialShapes:
                 lam = rng.uniform()
                 mid = pot.value(lam * x + (1 - lam) * y)
                 assert mid <= lam * pot.value(x) + (1 - lam) * pot.value(y) + 1e-9
+
+    @pytest.mark.parametrize("name", ["neg-entropy", "quadratic"])
+    def test_named_potentials_compare_equal_across_builds(self, tmp_path, name):
+        assert potential_by_name(name) == potential_by_name(name)
+        assert hash(potential_by_name(name)) == hash(potential_by_name(name))
+        path = tmp_path / "model.yaml"
+        path.write_text(f"model:\n  kappa: 0.2\n  potential: {name}\n")
+        first, again = (cost_model_from(load_config(str(path))) for _ in range(2))
+        assert first == again
+        assert first.potential == potential_by_name(name)

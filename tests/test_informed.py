@@ -21,7 +21,7 @@ from cavscreen import (
     symmetric_binary,
     uniform_belief,
 )
-from cavscreen import envelopes
+from cavscreen import envelopes, informed
 from cavscreen.acceptance import worked_contract, worked_menu
 from helpers import barycenter
 
@@ -255,3 +255,65 @@ class TestDefaults:
             r = default_resolution(n)
             assert math.comb(r + n - 1, n - 1) <= 8000
             assert math.comb(r + n, n - 1) > 8000
+
+
+RULE_OUT = SimpleAnnouncement(Contract(0.3, 1.0))
+ROUTE_GAMES = {
+    "neg-entropy-rule-out": (PosteriorSeparable(0.3, neg_entropy()), RULE_OUT),
+    "neg-entropy-urn": (PosteriorSeparable(0.01, neg_entropy()), UrnDraw(Contract(0.03, 0.1))),
+    "quadratic-rule-out": (PosteriorSeparable(0.5, quadratic()), RULE_OUT),
+}
+
+
+class TestSharedLattice:
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in ROUTE_GAMES for n in (2, 3) if n == 3 or "urn" not in name],
+    )
+    def test_priors_equal_to_the_lattice_are_sampled_once(self, monkeypatch, name, n):
+        """The lattice as priors, or any array equal to it, builds the
+        envelope on the lattice's own rows, with equal values bit for bit.
+        Priors stacked on the lattice agree with them exactly on two states,
+        and on three up to rounding: qhull's facet planes depend on repeated
+        input rows (they round differently, and coplanar points are
+        triangulated differently)."""
+        model, game = ROUTE_GAMES[name]
+        built = []
+        envelope = envelopes.Envelope1d if n == 2 else envelopes.SimplexEnvelope
+
+        class Recorded(envelope):
+            def __init__(self, points, fs):
+                built.append(len(fs))
+                super().__init__(points, fs)
+
+        monkeypatch.setattr(informed, "Envelope1d" if n == 2 else "SimplexEnvelope", Recorded)
+        lattice = simplex_grid_array(n)
+        once = informed_value_sweep(model, game, lattice)
+        np.testing.assert_array_equal(informed_value_sweep(model, game, lattice.copy()), once)
+        stacked = informed_value_sweep(model, game, np.vstack([lattice, lattice[:1]]))[:-1]
+        assert built == [len(lattice), len(lattice), 2 * len(lattice) + 1]
+        if n == 2:
+            np.testing.assert_array_equal(once, stacked)
+        else:
+            eps = np.finfo(float).eps
+            bound = 8.0 * eps * (1.0 + np.abs(stacked))
+            np.testing.assert_array_less(np.abs(once - stacked), bound)
+
+    def test_default_lattice_is_shared_and_read_only(self):
+        lattice = simplex_grid_array(3)
+        assert simplex_grid_array(3, default_resolution(3)) is lattice
+        with pytest.raises(ValueError, match="read-only"):
+            lattice[0, 0] = 0.5
+        assert simplex_grid_array(3, 20) is not simplex_grid_array(3, 20)
+        assert simplex_grid_array(3, 20).flags.writeable
+
+    def test_potential_values_are_cached_per_potential_and_state_count(self):
+        informed._lattice_potential.cache_clear()
+        prior = uniform_belief(3).probs[None]
+        for _ in range(3):
+            informed_value_sweep(PosteriorSeparable(0.4, quadratic()), RULE_OUT, prior)
+        info = informed._lattice_potential.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        np.testing.assert_array_equal(
+            informed._lattice_potential(quadratic(), 3), quadratic().batch(simplex_grid_array(3))
+        )

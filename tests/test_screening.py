@@ -37,7 +37,7 @@ from cavscreen import (
     upsilon,
     xi_screen_search,
 )
-from cavscreen import screening, shannon
+from cavscreen import screening, shannon, simplex
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
 from helpers import rejection_measure_mc
@@ -521,3 +521,48 @@ class TestPermutationEquivariance:
                 Belief(q[perm]), resolution=30,
             ).value
             assert relabeled == pytest.approx(base, abs=1e-9)
+
+
+class TestLatticeSetUp:
+    def test_one_state_is_an_error_not_a_hang(self):
+        model = PosteriorSeparable(0.3, neg_entropy())
+        with pytest.raises(ValueError, match="n >= 2"):
+            screens(model, Contract(0.3, 1.0), 1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            screens(PosteriorSeparable(0.3, quadratic()), Contract(0.3, 1.0), 1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            xi_screen_search(model, 0.2, n=1)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="n >= 2"):
+                default_resolution(n)
+
+    def test_whole_simplex_verdicts_build_no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(simplex, "_lattice_counts", refuse)
+        monkeypatch.setattr(screening, "simplex_grid_array", refuse)
+        model = PosteriorSeparable(0.3, neg_entropy())
+        report = screens(model, Contract(0.05, 1.0), 9)
+        assert (report.prior_set, report.resolution) == ("whole simplex", 0)
+        with pytest.raises(ValueError, match="coordinates"):
+            screens(model, Contract(0.3, 1.0), 1000)
+
+    @pytest.mark.parametrize(
+        "model, variant",
+        [
+            (PosteriorSeparable(0.3, neg_entropy()), "simple"),
+            (PosteriorSeparable(0.01, neg_entropy()), "urn"),
+            (PosteriorSeparable(0.5, quadratic()), "simple"),
+        ],
+    )
+    def test_an_array_grid_and_a_list_of_beliefs_give_one_report(self, model, variant):
+        contract = Contract(0.03, 0.1) if variant == "urn" else Contract(0.2, 1.0)
+        ball = ball_grid(uniform_belief(3), 0.15, 60)
+        as_array = screens(model, contract, 3, grid=ball, variant=variant)
+        beliefs = [Belief(row) for row in ball]
+        as_beliefs = screens(model, contract, 3, grid=beliefs, variant=variant)
+        assert as_array.to_text() == as_beliefs.to_text()
+        assert as_array.informed_min == as_beliefs.informed_min
+        assert np.array_equal(as_array.worst_prior.probs, as_beliefs.worst_prior.probs)
+        assert as_array.prior_set == f"custom grid, {len(ball)} priors"
