@@ -6,6 +6,7 @@ CLI maps to its configuration exit code.
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
@@ -18,8 +19,11 @@ from .simplex import Belief, Contract, ball_grid
 
 
 # libyaml's parser where PyYAML was built with it: the same documents,
-# several times faster; only its error wording differs.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# several times faster; only its error wording differs.  It also reads the
+# YAML 1.2 floats that have no dot (1e-3, 2E+1), which YAML 1.1 leaves strings.
+_LOADER = type("_LOADER", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+_LOADER.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_config(path: str) -> dict:

@@ -101,10 +101,10 @@ def informed_value(
         # One row of the sweep; the plan is read off the action weights.
         P = game.u - game.fines(mu.n)
         solution = shannon.solve(P, model.kappa, mu.probs[None, :])
-        value, plan = float(solution.values[0]), degenerate(mu)
-        if not solution.stay[0]:
-            support, weights = shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0])
-            plan = _prune_plan(support, weights, mu)
+        value = float(solution.values[0])
+        if solution.stay[0]:
+            return InformedResult(value, degenerate(mu), 0.0)
+        plan = _prune_plan(*shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0]), mu)
     else:
         grid, g, kc = _objective(model, game, mu.probs[None, :], resolution)
         env, plan = concavify_lp(grid, g, mu) if mu.n >= 4 else _envelope(grid, g).split(mu)

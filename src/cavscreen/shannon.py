@@ -39,6 +39,7 @@ prior once its bound holds.  A prior it cannot certify raises.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -91,12 +92,7 @@ def _barrier(E, mu, p, t) -> tuple[np.ndarray, np.ndarray]:
 
 def _water_fill(P, E, kappa: float, mu: np.ndarray, tol: float):
     """Closed-form values and action weights of a rule-out game at each
-    prior row, with a mask of the rows whose certificate holds; no row of
-    any other game is certified."""
-    B, A = len(mu), P.shape[0]
-    diag = np.eye(A, dtype=bool)
-    if A != P.shape[1] or (E[~diag] != 1.0).any() or (E[diag] >= 1.0).any():
-        return np.zeros(B), np.zeros((B, A)), np.zeros(B, dtype=bool)
+    prior row, with a mask of the rows whose certificate holds."""
     top = P.max(axis=0)
     beta = -np.expm1((np.diag(P) - top) / kappa)
     # Rows the formula cannot price (a zero in the prefix mass) come out
@@ -107,18 +103,19 @@ def _water_fill(P, E, kappa: float, mu: np.ndarray, tol: float):
         # mu beta; the active set is the longest prefix that meets it.
         a = mu * beta
         order = np.argsort(a, axis=1)
-        mass = np.cumsum(np.take_along_axis(mu, order, axis=1), axis=1)
+        rows = np.arange(len(mu))[:, None]
+        mass = np.cumsum(mu[rows, order], axis=1)
         excess = np.cumsum(1.0 / beta[order], axis=1) - 1.0
-        meets = mass > np.take_along_axis(a, order, axis=1) * excess
+        meets = mass > a[rows, order] * excess
         last = np.maximum(meets.sum(axis=1), 1) - 1
         # 1 / lambda for the active prefix.
-        inv = excess[np.arange(B), last] / mass[np.arange(B), last]
+        inv = excess[rows[:, 0], last] / mass[rows[:, 0], last]
         p = np.maximum(0.0, 1.0 / beta - mu * inv[:, None])
         p /= p.sum(axis=1, keepdims=True)
         s = _mix(p, E)
         c = _mix(mu / s, E.T)
         values = ((top + kappa * np.log(s)) * mu).sum(axis=1)
-        certified = np.isfinite(c).all(axis=1) & (c.max(axis=1) - 1.0 <= tol)
+        certified = functools.reduce(np.maximum, c.T) - 1.0 <= tol
     return values, p, certified
 
 
@@ -214,19 +211,28 @@ def solve(P, kappa: float, priors) -> ShannonSolution:
     tol = _GAP * (1.0 + np.abs(P).max()) / kappa + _ROUNDING
     stay_pay = _mix(priors, P.T)
     announce = stay_pay.argmax(axis=1)
-    # Staying put is certified when every action's slope at the announce
-    # action's unit weight, sum_i mu_i exp((P_ai - P_a*i) / kappa), is <= 1.
-    rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
-    stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol
-    values = stay_pay[np.arange(B), announce]
-    weights = np.zeros((B, A))
-    weights[np.arange(B), announce] = 1.0
-    steps = np.zeros(B, dtype=int)
+    here = np.arange(B), announce
     # Shift each state's payoffs by their maximum so E stays in (0, 1].
     top = P.max(axis=0)
     E = np.exp((P - top) / kappa)
+    # Staying put is certified when every action's slope at the announce
+    # action's unit weight, sum_i mu_i exp((P_ai - P_a*i) / kappa), is <= 1.  In a
+    # rule-out game (P = top exactly off the diagonal, below it on it) a differs
+    # from a* in states a and a* alone, so the steepest a has the least mu_a beta_a.
+    rule_out = A == P.shape[1] and ((P == top) != np.eye(A, dtype=bool)).all()
+    if rule_out:
+        rise = np.expm1(np.minimum((top - np.diag(P)) / kappa, 700.0))
+        drop = priors * -np.expm1((np.diag(P) - top) / kappa)
+        drop[here] = np.inf
+        stay = priors[here] * rise[announce] - functools.reduce(np.minimum, drop.T) <= tol
+    else:
+        rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
+        stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol
+    values, weights = stay_pay[here], np.zeros((B, A))
+    weights[here] = 1.0
+    steps = np.zeros(B, dtype=int)
     rows = np.flatnonzero(~stay)
-    if len(rows):
+    if rule_out and len(rows):
         closed, p, certified = _water_fill(P, E, kappa, priors[rows], tol)
         values[rows[certified]] = closed[certified]
         weights[rows[certified]] = p[certified]

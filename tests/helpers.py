@@ -3,6 +3,7 @@
 import numpy as np
 
 from cavscreen import Belief, Experiment, Potential, PosteriorDistribution, SimpleAnnouncement
+from cavscreen import shannon
 
 
 def barycenter(F: PosteriorDistribution) -> Belief:
@@ -59,3 +60,18 @@ def rejection_measure_mc(contract, n=None, *, samples=100_000, seed=0):
     draws = np.random.default_rng(seed).dirichlet(np.ones(game.states(n)), size=samples)
     phat = float((game.batch(draws) < 0.0).mean())
     return phat, 1.96 * float(np.sqrt(phat * (1.0 - phat) / samples))
+
+
+def stay_oracle(P, kappa: float, priors) -> tuple[np.ndarray, np.ndarray]:
+    """Stay flags and stay values of ``shannon.solve`` by its general test,
+    for any game: staying put with the announce action a* (the first best)
+    is certified where every action's slope at a*'s unit weight,
+    sum_i mu_i (exp((P_ai - P_a*i) / kappa) - 1), taken over the full
+    (priors, actions, states) tensor, is within the solver's tolerance."""
+    P, priors = np.asarray(P, dtype=float), np.asarray(priors, dtype=float)
+    tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
+    stay_pay = shannon._mix(priors, P.T)
+    announce = stay_pay.argmax(axis=1)
+    rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
+    stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol
+    return stay, stay_pay[np.arange(len(priors)), announce]

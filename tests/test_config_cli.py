@@ -58,6 +58,23 @@ class TestLoadConfig:
     def test_empty_file_is_empty_config(self, tmp_path):
         assert load_config(write(tmp_path, "empty.yaml", "")) == {}
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e-3", 1e-3), ("2E+1", 20.0), (".5e-2", 0.005), ("-1e-9", -1e-9), ("+3e0", 3.0),
+         ("1.5e3", 1500.0), ("1.e5", 1e5), ("1e400", math.inf)],
+    )
+    def test_yaml_1_2_exponents_without_a_dot_are_floats(self, tmp_path, text, value):
+        cfg = load_config(write(tmp_path, "float.yaml", f"x: {text}\n"))
+        assert type(cfg["x"]) is float and cfg["x"] == value
+
+    def test_quoted_exponents_stay_strings_and_the_python_loader_is_untouched(self, tmp_path):
+        text = 'x: "1e-3"\ny: 1e\nz: e5\nw: 1_000\n'
+        assert load_config(write(tmp_path, "strings.yaml", text)) == {
+            "x": "1e-3", "y": "1e", "z": "e5", "w": 1000
+        }
+        # The extra resolver lives on cavscreen's loader only.
+        assert yaml.load("x: 1e-3\n", Loader=yaml.SafeLoader) == {"x": "1e-3"}
+
 
 class TestModelSection:
     def test_posterior_separable(self):
@@ -390,6 +407,14 @@ class TestErrorPaths:
                 "screen", "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  fines: [1.0, .nan]\n",
                 id="fine-not-a-number",
             ),
+            pytest.param(
+                "screen", 'model:\n  kappa: "1e-3"\ncontract:\n  u: 0.1\n  d: 1.0\nn: 2\n',
+                id="kappa-quoted-exponent",
+            ),
+            pytest.param(
+                "screen", "model:\n  kappa: 1e400\ncontract:\n  u: 0.1\n  d: 1.0\nn: 2\n",
+                id="kappa-exponent-beyond-float-range",
+            ),
         ],
     )
     def test_malformed_screen_configs_are_config_errors(
@@ -398,6 +423,29 @@ class TestErrorPaths:
         path = write(tmp_path, "bad.yaml", text)
         assert cli.main([command, "--config", path] + out(command, tmp_path)) == 3
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            pytest.param("screen", "model:\n  kappa: 1e-9\ncontract:\n  u: 0.1\n  d: 1.0\nn: 3\n",
+                         0, id="screen-kappa-1e-9"),
+            pytest.param("screen", "model:\n  kappa: 1e300\ncontract:\n  u: 0.1\n  d: 1.0\nn: 3\n",
+                         2, id="screen-kappa-1e300"),
+            pytest.param("screen", "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  d: 1e308\nn: 3\n",
+                         0, id="screen-d-1e308"),
+            pytest.param("screen", "model:\n  kappa: 0.1\ncontract:\n  u: 1e-320\n  d: 1.0\nn: 3\n",
+                         2, id="screen-u-1e-320"),
+            pytest.param("screen", "model:\n  kappa: 3e-1\ncontract:\n  u: 2e-1\n  d: 1e0\nn: 4\n",
+                         0, id="screen-n4-all-exponents"),
+            pytest.param("prop2", "model:\n  kappa: 0.1\nrho: [0.25, 0.75]\nd_last: 2E+0\nu: 5e-2\n",
+                         2, id="prop2-d-last-and-u"),
+            pytest.param("xi-screen", "model:\n  kappa: 1e-1\nxi: 2e-1\n", 0, id="xi-screen-xi-2e-1"),
+            pytest.param("xi-screen", "xi: 1e-9\n", 2, id="xi-screen-xi-1e-9"),
+        ],
+    )
+    def test_dotless_exponents_are_read_as_numbers(self, capsys, tmp_path, command, text, code):
+        assert cli.main([command, "--config", write(tmp_path, "exp.yaml", text)]) == code
+        assert "config error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["prop2", "screen"])
     def test_menu_off_the_state_count_is_a_config_error(self, capsys, tmp_path, command):

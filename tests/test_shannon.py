@@ -31,7 +31,7 @@ from cavscreen import (
     simplex_grid_array,
 )
 from cavscreen import shannon
-from helpers import shifted
+from helpers import shifted, stay_oracle
 
 KAPPAS = (1e-3, 0.3)
 # Lattice resolutions for the grid routes, small enough for a quick hull.
@@ -141,6 +141,28 @@ def test_closed_form_agrees_with_newton(n, kind, kappa, monkeypatch):
     assert gap.min() >= -1e-12 * scale
     assert gap.max() <= 1e-12 * scale + kappa * shannon._ROUNDING
     np.testing.assert_array_equal(closed.stay, newton.stay)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("kind", ("common", "per-state"))
+def test_rule_out_stay_test_matches_the_tensor_oracle(n, kind):
+    # The default lattice (faces and vertices included) and Dirichlet(0.2) draws.
+    rng = np.random.default_rng(50 + n)
+    mu = np.vstack([simplex_grid_array(n, default_resolution(n)),
+                    rng.dirichlet(np.full(n, 0.2), 2000)])
+    P = 0.2 - np.diag(rule_out_fines(n, kind))
+    uncertified = 0
+    for kappa in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+        solution = shannon.solve(P, kappa, mu)
+        stay, values = stay_oracle(P, kappa, mu)
+        np.testing.assert_array_equal(solution.stay, stay)
+        assert solution.values[stay].tobytes() == values[stay].tobytes()
+        # The water-fill would not certify every stay row (those on faces
+        # fail its certificate), so the stay test must come first.
+        tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
+        E = np.exp((P - P.max(axis=0)) / kappa)
+        uncertified += (~shannon._water_fill(P, E, kappa, mu[stay], tol)[2]).sum()
+    assert uncertified > 0
 
 
 def test_newton_values_come_back_when_the_closed_form_certifies_nothing(monkeypatch):
