@@ -9,6 +9,7 @@ before announcing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,9 @@ def upsilon_batch(E: Experiment, priors) -> np.ndarray:
     pts = np.asarray(priors, dtype=float)
     if pts.shape[1] != E.n:
         raise DimensionMismatch(f"experiment has {E.n} states, beliefs have {pts.shape[1]}")
-    joint = pts[:, :, None] * E.likelihoods
-    return pts.min(axis=1) - joint.min(axis=1).sum(axis=1)
+    # Joint probabilities mu_i P_i(s) and both minima go one state column at a time.
+    joint = (mu[:, None] * lk for mu, lk in zip(pts.T, E.likelihoods))
+    return functools.reduce(np.minimum, pts.T) - functools.reduce(np.minimum, joint).sum(axis=1)
 
 
 def upsilon(E: Experiment, mu: Belief) -> float:

@@ -1,10 +1,9 @@
 """Independent brute-force baselines.
 
 Deliberately naive: exhaustive pair search and a textbook zero-sum LP.  These
-share no code with the fast paths they validate and otherwise run only in
-tests and the acceptance suite.  The one production use is ``lp_maximin``:
-``uninformed_maximin`` solves it for games whose fine matrix is not diagonal,
-such as the urn, where no closed form is coded.
+share no code with the fast paths they validate and run only in tests and the
+acceptance suite; ``uninformed_maximin`` keeps ``lp_maximin`` only for games of
+three or more actions whose fine matrix is not diagonal, and none ships.
 """
 
 from __future__ import annotations

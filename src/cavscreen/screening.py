@@ -18,6 +18,7 @@ each construction reads its payment off that sweep in closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,13 +60,24 @@ def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinSo
 
     The expert mixes actions against an adversarial state.  In a rule-out
     game (diagonal fine matrix) equalizing sigma_i proportional to 1/d_i
-    yields u - 1/sum_i(1/d_i), which is exactly u - d/n under a common fine;
-    any other game solves the zero-sum LP.  Returns the value and the mixture.
+    yields u - 1/sum_i(1/d_i), which is exactly u - d/n under a common fine.
+    Two actions pay u less the upper envelope of n fine lines in sigma, the
+    weight on the first, lowest at sigma 0 or 1 or where a falling line meets
+    a rising one (the urn: u - d/2 at (1/2, 1/2)).  Any other game solves the
+    zero-sum LP.  Returns the value and the mixture.
     """
     F = game.fines(game.states(n))
     fines = np.diag(F)
     if not np.array_equal(F, np.diag(fines)):
-        return lp_maximin(game.u - F)
+        if len(F) != 2:
+            return lp_maximin(game.u - F)
+        lo, slope = F[1], F[0] - F[1]
+        rise, fall = slope > 0.0, slope < 0.0
+        cross = (lo[fall] - lo[rise][:, None]) / (slope[rise][:, None] - slope[fall])
+        sigma = np.clip(np.concatenate(([0.0, 1.0], cross.ravel())), 0.0, 1.0)
+        fine = (lo + sigma[:, None] * slope).max(axis=1)
+        best = int(fine.argmin())
+        return MaximinSolution(game.u - float(fine[best]), np.array([sigma[best], 1 - sigma[best]]))
     inv = 1.0 / fines
     if (fines == fines[0]).all():
         value = game.u - fines[0] / len(fines)
@@ -246,7 +258,7 @@ def _ball_options(model: CostModel, points: np.ndarray) -> tuple[np.ndarray, np.
         price = [np.full(len(points), p) for _, p in model.entries]
     else:
         vertex_cost = model.potential.batch(np.eye(points.shape[1]))
-        gain = [points.min(axis=1)]
+        gain = [functools.reduce(np.minimum, points.T)]
         price = [model.kappa * (points @ vertex_cost - model.potential.batch(points))]
     zero = np.zeros(len(points))
     return np.array([zero] + gain), np.array([zero] + price)
@@ -349,7 +361,7 @@ def construct_screening_contract(
     grid = simplex_grid_array(n, resolution)
     in_ball = distances(grid, center.probs, norm) <= eta
     outside = grid[~in_ball]
-    q_out = float(outside.min(axis=1).max()) if outside.size else 0.0
+    q_out = float(functools.reduce(np.minimum, outside.T).max()) if outside.size else 0.0
     hi = d / n
     lo = max(0.0, d * q_out)
     if lo >= hi:

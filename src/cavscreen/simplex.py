@@ -228,7 +228,7 @@ def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
     if norm == "euclidean":
         return np.sqrt((diff * diff).sum(axis=1))
     if norm == "sup":
-        return np.abs(diff).max(axis=1)
+        return functools.reduce(np.maximum, np.abs(diff).T)
     raise ValueError(f"unknown norm {norm!r} (use 'euclidean' or 'sup')")
 
 

@@ -9,6 +9,7 @@ expected payoff under that action, before any learning costs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +47,8 @@ class DecisionProblem:
 
     def batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return self.u - (pts @ self.fines(pts.shape[1]).T).min(axis=1)
+        # Folded over the action columns: numpy reduces a short last axis row by row.
+        return self.u - functools.reduce(np.minimum, (pts @ self.fines(pts.shape[1]).T).T)
 
 
 def SimpleAnnouncement(contract: Contract) -> DecisionProblem:

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from cavscreen import Belief, Experiment, Potential, PosteriorDistribution, SimpleAnnouncement
+from cavscreen import (
+    Belief,
+    Experiment,
+    Potential,
+    PosteriorDistribution,
+    SimpleAnnouncement,
+    simplex_grid_array,
+)
 from cavscreen import shannon
 
 
@@ -75,3 +82,28 @@ def stay_oracle(P, kappa: float, priors) -> tuple[np.ndarray, np.ndarray]:
     rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
     stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol
     return stay, stay_pay[np.arange(len(priors)), announce]
+
+
+def fold_stacks(n: int) -> dict[str, np.ndarray]:
+    """Prior stacks on n states for the column-fold parity tests: the default
+    lattice, Dirichlet(0.2) and Dirichlet(1) draws, one row, no rows, and
+    rows holding NaN (one in each position, and a row of nothing else)."""
+    rng = np.random.default_rng(900 + n)
+    nan = rng.dirichlet(np.ones(n), size=n + 1)
+    nan[np.arange(n), np.arange(n)] = np.nan
+    nan[n] = np.nan
+    return {
+        "lattice": simplex_grid_array(n),
+        "dirichlet(0.2)": rng.dirichlet(np.full(n, 0.2), size=400),
+        "dirichlet(1)": rng.dirichlet(np.ones(n), size=400),
+        "one row": rng.dirichlet(np.ones(n), size=1),
+        "no rows": np.empty((0, n)),
+        "nan rows": nan,
+    }
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal shape, dtype and bit pattern, NaN payloads and signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -19,7 +19,7 @@ from cavscreen import (
     upsilon_batch,
 )
 from cavscreen.experiments import _signal_marginal as signal_marginal
-from helpers import barycenter, garble
+from helpers import assert_same_bits, barycenter, fold_stacks, garble
 
 
 def example_experiment():
@@ -153,6 +153,16 @@ class TestUpsilon:
             mu = Belief(rng.dirichlet(np.ones(n)))
             v = upsilon(E, mu)
             assert -1e-12 <= v <= mu.probs.min() + 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_batch_folds_match_row_minima(self, n):
+        rng = np.random.default_rng(14 + n)
+        for m in (1, 2, 5):
+            E = random_experiment(rng, n, m)
+            for pts in fold_stacks(n).values():
+                joint = pts[:, :, None] * E.likelihoods
+                want = pts.min(axis=1) - joint.min(axis=1).sum(axis=1)
+                assert_same_bits(upsilon_batch(E, pts), want)
 
     def test_garbling_never_helps(self):
         rng = np.random.default_rng(13)

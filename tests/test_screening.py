@@ -10,6 +10,7 @@ from cavscreen import (
     Belief,
     BoundaryPrior,
     Contract,
+    DecisionProblem,
     DimensionMismatch,
     Experiment,
     FixedMenu,
@@ -37,10 +38,11 @@ from cavscreen import (
     upsilon,
     xi_screen_search,
 )
+import cavscreen.cli as cli
 from cavscreen import screening, shannon, simplex
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
-from helpers import rejection_measure_mc
+from helpers import assert_same_bits, fold_stacks, rejection_measure_mc
 
 
 def payoff_matrix(u, fines):
@@ -91,6 +93,90 @@ class TestUninformedMaximin:
         a = uninformed_maximin(SimpleAnnouncement(Contract(1.0, fines))).value
         b = uninformed_maximin(SimpleAnnouncement(Contract(1.0, fines[perm]))).value
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def two_action_game(fines) -> DecisionProblem:
+    """A game of two calls at payment 0 with the given (2, n) fine matrix."""
+    F = np.asarray(fines, dtype=float)
+    return DecisionProblem(0.0, lambda n: F, F.shape[1])
+
+
+def guaranteed(strategy, fines) -> float:
+    """The least payoff over states of mixing the calls by ``strategy``."""
+    return float((strategy @ -np.asarray(fines, dtype=float)).min())
+
+
+class TestTwoActionMaximin:
+    """Two-call games are priced in closed form; the zero-sum LP is the oracle."""
+
+    def assert_matches_lp(self, fines):
+        got = uninformed_maximin(two_action_game(fines))
+        lp = lp_maximin(-np.asarray(fines, dtype=float))
+        assert abs(got.value - lp.value) <= 1e-9
+        np.testing.assert_allclose(got.strategy, lp.strategy, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_games_match_the_lp(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(40):
+            self.assert_matches_lp(rng.uniform(0.0, 2.0, (2, n)))
+
+    @pytest.mark.parametrize(
+        "fines",
+        [
+            # parallel lines: every state favours the first call by the same margin
+            [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]],
+            [[2.0, 3.0], [1.0, 2.0]],
+            # a dominant call, first or second
+            [[0.1, 0.2, 0.3], [1.0, 1.0, 1.0]],
+            [[1.0, 1.0, 1.0], [0.1, 0.2, 0.3]],
+            # optimum at sigma = 1 and at sigma = 0 with neither call dominant
+            [[1.0, 0.0, 5.0], [0.0, 3.0, 6.0]],
+            [[0.0, 3.0, 6.0], [1.0, 0.0, 5.0]],
+            # ties: equal ends and an interior peak, three lines through one
+            # point, and repeated states
+            [[0.0, 2.0], [2.0, 0.0]],
+            [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]],
+            [[0.0, 0.0, 2.0, 2.0], [2.0, 2.0, 0.0, 0.0]],
+        ],
+    )
+    def test_edge_games_match_the_lp(self, fines):
+        self.assert_matches_lp(fines)
+
+    @pytest.mark.parametrize(
+        "fines",
+        [[[1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0, 3.0], [3.0, 1.0, 0.0]]],
+        ids=["equal calls", "flat top"],
+    )
+    def test_optimum_on_an_interval_guarantees_the_lp_value(self, fines):
+        # every sigma on the flat top is optimal, so only the value is pinned
+        got = uninformed_maximin(two_action_game(fines))
+        lp = lp_maximin(-np.asarray(fines, dtype=float))
+        assert abs(got.value - lp.value) <= 1e-9
+        assert got.strategy.min() >= 0.0 and got.strategy.sum() == 1.0
+        assert guaranteed(got.strategy, fines) == pytest.approx(lp.value, abs=1e-12)
+
+    def test_urn_is_u_minus_half_d_at_one_half(self):
+        rng = np.random.default_rng(71)
+        for u, d in 10.0 ** rng.uniform(-4.0, 4.0, size=(200, 2)):
+            got = uninformed_maximin(UrnDraw(Contract(u, d)))
+            assert abs(got.value - (u - d / 2.0)) <= 4.0 * abs(np.spacing(u - d / 2.0))
+            assert got.strategy.tolist() == [0.5, 0.5]
+
+    def test_no_urn_verdict_solves_the_lp(self, monkeypatch, capsys):
+        def refuse(payoffs):
+            raise AssertionError("lp_maximin called")
+
+        monkeypatch.setattr(screening, "lp_maximin", refuse)
+        model = PosteriorSeparable(0.01, neg_entropy())
+        contract = Contract(0.0485, 0.1)
+        ball = ball_grid(uniform_belief(3), 0.25, 40)
+        assert screens(model, contract, grid=ball, variant="urn").screens
+        assert not screens(model, contract, resolution=20, variant="urn").screens
+        assert cli.main(["screen", "--config", "configs/urn_color_calls.yaml"]) == 0
+        assert "uninformed (maximin): -0.0015" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="lp_maximin called"):
+            uninformed_maximin(two_action_game(np.ones((3, 2))))
 
 
 class TestSeuUninformed:
@@ -280,6 +366,13 @@ class TestAssumptionProbe:
         assert cert is not None
         assert cert.center is rho
         assert cert.T > 0.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_full_revelation_gain_folds_the_row_minimum(self, n):
+        model = PosteriorSeparable(0.3, quadratic())
+        for pts in fold_stacks(n).values():
+            gain, _ = screening._ball_options(model, pts)
+            assert_same_bits(gain[1], pts.min(axis=1))
 
 
 class TestConstruction:
@@ -471,7 +564,7 @@ class TestRejectionMeasure:
 
 class TestUrnVariant:
     def test_opposite_calls_guarantee(self):
-        # the zero-sum LP over the two color calls gives u - d/2 at (1/2, 1/2)
+        # opposite color calls guarantee u - d/2 at (1/2, 1/2)
         rng = np.random.default_rng(64)
         for u, d in rng.uniform(0.01, 2.0, size=(5, 2)):
             got = uninformed_maximin(UrnDraw(Contract(u, d)))

@@ -21,7 +21,8 @@ from cavscreen import (
     uniform_belief,
 )
 from cavscreen.informed import default_resolution
-from helpers import barycenter
+from cavscreen.simplex import distances
+from helpers import assert_same_bits, barycenter, fold_stacks
 
 
 def stars_and_bars(n, resolution):
@@ -220,3 +221,10 @@ class TestBallGrid:
         eucl = ball_grid(belief2(0.5), 0.05, 100)
         sup = ball_grid(belief2(0.5), 0.05, 100, norm="sup")
         assert len(sup) > len(eucl)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sup_distance_fold_matches_row_maximum(self, n):
+        center = np.random.default_rng(n).dirichlet(np.ones(n))
+        for pts in fold_stacks(n).values():
+            want = np.abs(pts - center).max(axis=1)
+            assert_same_bits(distances(pts, center, "sup"), want)

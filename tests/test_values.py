@@ -12,6 +12,7 @@ from cavscreen import (
     UrnDraw,
     belief2,
 )
+from helpers import assert_same_bits, fold_stacks
 
 
 def payoff(contract, belief):
@@ -124,6 +125,29 @@ class TestUrnDraw:
     def test_needs_a_common_fine(self):
         with pytest.raises(ValueError):
             UrnDraw(Contract(1.0, (1.0, 1.0, 1.0)))
+
+
+def row_minimum_batch(game, points):
+    """The payoff u - min_a (F x)_a with numpy's row-wise minimum."""
+    return game.u - (points @ game.fines(points.shape[1]).T).min(axis=1)
+
+
+class TestBatchFold:
+    """``batch`` folds the action minimum over the columns, bit for bit the
+    row-wise minimum."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rule_out_games(self, n):
+        fines = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        for contract in (Contract(0.3, 1.0), Contract(0.2, fines)):
+            game = SimpleAnnouncement(contract)
+            for pts in fold_stacks(n).values():
+                assert_same_bits(game.batch(pts), row_minimum_batch(game, pts))
+
+    def test_urn(self):
+        game = UrnDraw(Contract(0.0485, 0.1))
+        for pts in fold_stacks(3).values():
+            assert_same_bits(game.batch(pts), row_minimum_batch(game, pts))
 
 
 class TestStates:
