@@ -116,7 +116,7 @@ def _cmd_figure(args) -> int:
         contract = design_binary_contract(model)
         print(f"designed contract: u={contract.u:.6g} d={contract.d:.6g}")
     priors = priors_from(cfg, (0.47, 0.50, 0.53))
-    resolution = resolution_from(cfg, args.grid) or 1000
+    resolution = resolution_from(cfg) or 1000
     traces = binary_figure_traces(model, contract, priors=priors, resolution=resolution)
     for k, p in enumerate(traces.priors):
         plan = traces.plans[k]
@@ -154,15 +154,13 @@ def _cmd_screen(args) -> int:
     kind = choice_from(cfg, "uninformed", UNINFORMED, "maximin")
     variant = choice_from(cfg, "variant", VARIANTS, "simple")
     n = states_from(cfg)
-    resolution = resolution_from(cfg, args.grid)
+    resolution = resolution_from(cfg)
     if contract is not None and kind == "seu" and rho is None:
         raise ConfigError("uninformed: seu needs rho, the uninformed belief")
     if contract is None:
         built = construct_screening_contract(
             model, assumption_from(cfg), center=rho, n=n, resolution=resolution,
             eta=number_from(cfg, "eta", 0.1, low=0.0),
-            margin=number_from(cfg, "margin", 0.05, low=-1.0),
-            norm=choice_from(cfg, "norm", ("euclidean", "sup"), "euclidean"),
         )
         print(
             f"constructed contract u={built.contract.u:.6g} d={built.contract.d:.6g} "
@@ -197,7 +195,7 @@ def _cmd_prop2(args) -> int:
     print(f"uninformed value at rho: {SimpleAnnouncement(contract).value(rho):.6g}")
     if "model" in cfg:
         model = cost_model_from(cfg)
-        resolution = resolution_from(cfg, args.grid)
+        resolution = resolution_from(cfg)
         report = screens(model, contract, rho.n, resolution=resolution, uninformed="seu", rho=rho)
         print(report.to_text())
         return EXIT_OK if report.screens else EXIT_INFEASIBLE
@@ -211,7 +209,7 @@ def _cmd_xi_screen(args) -> int:
     )
     xi = number_from(cfg, "xi", 0.1, low=0.0, high=1.0)
     n = states_from(cfg) or 2
-    resolution = resolution_from(cfg, args.grid)
+    resolution = resolution_from(cfg)
     found = xi_screen_search(model, xi, n=n, resolution=resolution, seed=args.seed)
     print(f"contract: u={found.contract.u:.6g} d={found.contract.d:.6g}")
     print(
@@ -236,7 +234,6 @@ def _cmd_acceptance(args) -> int:
 _OPTIONS = {
     "--config": dict(metavar="PATH", help="YAML run configuration"),
     "--seed": dict(type=int, default=0, metavar="N"),
-    "--grid": dict(type=int, metavar="N", help="belief grid resolution"),
     "--out": dict(metavar="DIR", default=".", help="output directory"),
     "--format": dict(choices=("csv", "svg", "both"), default="csv", dest="fmt"),
 }
@@ -244,12 +241,12 @@ _OPTIONS = {
 # name: (handler, the options it reads and so takes, help)
 _COMMANDS = {
     "example-one": (_cmd_example_one, ("--out",), "verify the worked two-state menu scenario"),
-    "figure": (_cmd_figure, ("--config", "--grid", "--out", "--format"),
+    "figure": (_cmd_figure, ("--config", "--out", "--format"),
                "emit payoff/objective/envelope traces for a two-state contract"),
-    "screen": (_cmd_screen, ("--config", "--grid"), "verify that a configured contract screens"),
-    "prop2": (_cmd_prop2, ("--config", "--grid"),
+    "screen": (_cmd_screen, ("--config",), "verify that a configured contract screens"),
+    "prop2": (_cmd_prop2, ("--config",),
               "build a contract with fines equalized against a belief"),
-    "xi-screen": (_cmd_xi_screen, ("--config", "--seed", "--grid"),
+    "xi-screen": (_cmd_xi_screen, ("--config", "--seed"),
                   "search for a contract rejected by most uninformed beliefs"),
     "acceptance": (_cmd_acceptance, (), "run the acceptance criteria"),
 }

@@ -92,7 +92,7 @@ def cost_model_from(cfg: dict) -> CostModel:
             price = _require(item, "price", float, f"model.menu[{k}]")
             rows = _require(item, "likelihoods", list, f"model.menu[{k}]")
             try:
-                experiment = Experiment(rows, signals=item.get("signals"))
+                experiment = Experiment(rows)
             except Exception as exc:
                 raise ConfigError(f"model.menu[{k}].likelihoods: {exc}") from exc
             entries.append((experiment, price))
@@ -149,10 +149,9 @@ def states_from(cfg: dict) -> int | None:
     return number_from(cfg, "n", None, low=1, kind=int)
 
 
-def resolution_from(cfg: dict, grid: int | None = None) -> int | None:
-    """The optional grid resolution, ``grid`` (--grid) if set, else ``resolution``."""
-    source = cfg if grid is None else {"resolution": grid}
-    return number_from(source, "resolution", None, low=1, kind=int)
+def resolution_from(cfg: dict) -> int | None:
+    """The optional grid resolution ``resolution``."""
+    return number_from(cfg, "resolution", None, low=1, kind=int)
 
 
 def priors_from(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -194,8 +193,6 @@ def ball_from(cfg: dict, resolution: int | None) -> np.ndarray | None:
     center = belief_from(section.get("center"), "ball.center")
     eta = _require(section, "eta", float, "ball") if "eta" in section else 0.1
     try:
-        return ball_grid(
-            center, eta, resolution, norm=section.get("norm", "euclidean"),
-        )
+        return ball_grid(center, eta, resolution)
     except ValueError as exc:
         raise ConfigError(f"ball: {exc}") from exc

@@ -20,13 +20,12 @@ from .simplex import SUM_TOL, Belief, PosteriorDistribution, _frozen_array
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
-    """Signal labels plus an n x m likelihood matrix; row i is the signal
-    distribution in state i."""
+    """An n x m likelihood matrix; row i is the signal distribution in state
+    i, and signal j is column j."""
 
     likelihoods: np.ndarray
-    signals: tuple[str, ...]
 
-    def __init__(self, likelihoods, signals=None):
+    def __init__(self, likelihoods):
         arr = _frozen_array(likelihoods)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
             raise ValueError(f"likelihoods must be n x m with n >= 2, got {arr.shape}")
@@ -35,14 +34,7 @@ class Experiment:
         rowsums = arr.sum(axis=1)
         if np.abs(rowsums - 1.0).max() > SUM_TOL:
             raise ValueError(f"rows must sum to 1, got sums {rowsums}")
-        if signals is None:
-            signals = tuple(f"s{j}" for j in range(arr.shape[1]))
-        else:
-            signals = tuple(str(s) for s in signals)
-            if len(signals) != arr.shape[1]:
-                raise ValueError("one label per signal column required")
         object.__setattr__(self, "likelihoods", arr)
-        object.__setattr__(self, "signals", signals)
 
     @property
     def n(self) -> int:
@@ -55,7 +47,7 @@ class Experiment:
 
 def null_experiment(n: int) -> Experiment:
     """Single constant signal; observing it never moves the belief."""
-    return Experiment(np.ones((n, 1)), signals=("null",))
+    return Experiment(np.ones((n, 1)))
 
 
 def fully_informative(n: int) -> Experiment:
@@ -67,7 +59,7 @@ def symmetric_binary(q: float) -> Experiment:
     """Two-state experiment reporting the true state with probability q."""
     if not 0.5 < q <= 1.0:
         raise ValueError(f"accuracy q must lie in (1/2, 1], got {q}")
-    return Experiment([[q, 1.0 - q], [1.0 - q, q]], signals=("h", "l"))
+    return Experiment([[q, 1.0 - q], [1.0 - q, q]])
 
 
 def _signal_marginal(E: Experiment, mu: Belief) -> np.ndarray:
@@ -81,9 +73,7 @@ def posterior(E: Experiment, mu: Belief, s: int) -> Belief:
     """Bayes update of mu after observing signal index s."""
     marg = _signal_marginal(E, mu)
     if marg[s] <= 0.0:
-        raise ZeroProbabilitySignal(
-            f"signal {E.signals[s]!r} has zero probability at {mu}"
-        )
+        raise ZeroProbabilitySignal(f"signal {s} has zero probability at {mu}")
     return Belief(mu.probs * E.likelihoods[:, s] / marg[s])
 
 

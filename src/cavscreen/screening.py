@@ -51,6 +51,8 @@ from .simplex import (
 from .values import DecisionProblem, SimpleAnnouncement, UrnDraw
 
 _Z95 = 1.96
+# Slack of the construction's fine over the certificate: d = (1 + _MARGIN) T / epsilon.
+_MARGIN = 0.05
 # Common fines tried by the xi search, log-spaced over [0.5, 512] x scale.
 _FINE_STEPS = 18
 
@@ -123,17 +125,16 @@ class ScreeningReport:
     uninformed_value: float
     informed_min: float
     worst_prior: Belief
-    prior_set: str = ""
+    prior_set: str
 
     @property
     def screens(self) -> bool:
         return self.informed_min >= 0.0 and self.uninformed_value < 0.0
 
     def to_text(self) -> str:
-        where = self.prior_set or f"simplex grid, resolution {self.resolution}"
         fines = ", ".join(f"{d:.6g}" for d in self.contract.fines(self.n))
         lines = [
-            f"states: {self.n}   priors: {where}",
+            f"states: {self.n}   priors: {self.prior_set}",
             f"contract: u={self.contract.u:.6g} fines=({fines})",
             f"uninformed ({self.uninformed_kind}): {self.uninformed_value:.6g}",
             f"informed min net: {self.informed_min:.6g} at {self.worst_prior}",
@@ -173,8 +174,8 @@ def screens(
     plays color calls on three states.
 
     Naming a prior set asks for a lattice verdict: ``resolution`` sets the
-    simplex lattice, and ``grid`` replaces it with an explicit stack of
-    priors.  Without either, a Shannon-cost rule-out game is judged exactly
+    simplex lattice, and ``grid``, an (N, n) array of prior rows, replaces
+    it.  Without either, a Shannon-cost rule-out game is judged exactly
     over the whole simplex by ``shannon.rule_out_minimum`` (resolution 0 in
     the report, whose worst prior may lie off every lattice); every other
     model and game sweeps the default lattice.
@@ -198,8 +199,6 @@ def screens(
     elif grid is None:
         points, prior_set = simplex_grid_array(n, resolution), None
     else:
-        if not isinstance(grid, np.ndarray):
-            grid = [mu.probs if isinstance(mu, Belief) else mu for mu in grid]
         points = np.asarray(grid, dtype=float)
         prior_set = f"custom grid, {len(points)} priors"
         if points.ndim != 2 or not len(points):
@@ -241,7 +240,6 @@ class AssumptionCertificate:
     T: float
     center: Belief
     eta: float
-    norm: str
     resolution: int
 
 
@@ -271,7 +269,6 @@ def assumption_probe(
     center: Belief | None = None,
     eta: float = 0.1,
     resolution: int | None = None,
-    norm: str = "euclidean",
 ) -> AssumptionCertificate | None:
     """Search for a valuability certificate on a ball of priors.
 
@@ -282,14 +279,14 @@ def assumption_probe(
     Returns None when no strictly positive improvement is certifiable.
     """
     center = _center(model, center, n)
-    ball = ball_grid(center, eta, resolution, norm=norm)
+    ball = ball_grid(center, eta, resolution)
     gain, price = _ball_options(model, ball)
     best = gain.argmax(axis=0), np.arange(len(ball))
     worst, T = float(gain[best].min()), float(price[best].max())
     if worst <= 0.0 or not np.isfinite(T):
         return None
     resolution = default_resolution(center.n) if resolution is None else resolution
-    return AssumptionCertificate(0.99 * worst, T, center, eta, norm, resolution)
+    return AssumptionCertificate(0.99 * worst, T, center, eta, resolution)
 
 
 class Construction(NamedTuple):
@@ -311,9 +308,7 @@ def construct_screening_contract(
     *,
     center: Belief | None = None,
     eta: float = 0.1,
-    margin: float = 0.05,
     resolution: int | None = None,
-    norm: str = "euclidean",
     n: int | None = None,
 ) -> Construction:
     """Build a screening contract from a valuability certificate.
@@ -322,8 +317,8 @@ def construct_screening_contract(
     the ball grid, not assumed, and AssumptionViolated names the first prior
     where it fails.  Without it the probe computes a certificate.
 
-    The fine is d = (1 + margin) T / epsilon, so certified learning near the
-    center beats announcing outright by at least margin*T.  The payment sits
+    The fine is d = (1 + _MARGIN) T / epsilon, so certified learning near the
+    center beats announcing outright by at least _MARGIN * T.  The payment sits
     midway between d/n, which keeps the beliefless maximin u - d/n negative,
     and the smallest u, at least d * q_out (q_out bounds the worst
     announcement probability outside the ball), whose informed net value is
@@ -335,7 +330,7 @@ def construct_screening_contract(
         epsilon, eta, T = (float(v) for v in assumption)
         if epsilon <= 0.0:
             raise AssumptionViolated("epsilon must be positive", prior=center)
-        ball = ball_grid(center, eta, resolution, norm=norm)
+        ball = ball_grid(center, eta, resolution)
         gain, price = _ball_options(model, ball)
         ok = ((gain > epsilon) & (price <= T)).any(axis=0)
         if not ok.all():
@@ -344,22 +339,20 @@ def construct_screening_contract(
                 prior=Belief(ball[int(ok.argmin())]),
             )
         resolution = default_resolution(n) if resolution is None else resolution
-        certificate = AssumptionCertificate(epsilon, T, center, eta, norm, resolution)
+        certificate = AssumptionCertificate(epsilon, T, center, eta, resolution)
     else:
-        certificate = assumption_probe(
-            model, center=center, eta=eta, resolution=resolution, norm=norm
-        )
+        certificate = assumption_probe(model, center=center, eta=eta, resolution=resolution)
         if certificate is None:
             raise AssumptionViolated(
                 "no valuability certificate on the probe ball", prior=center
             )
     if certificate.T > 0.0:
-        d = (1.0 + margin) * certificate.T / certificate.epsilon
+        d = (1.0 + _MARGIN) * certificate.T / certificate.epsilon
     else:
         # Free learning: any fine scale works, pick one matched to epsilon.
-        d = (1.0 + margin) / certificate.epsilon
+        d = (1.0 + _MARGIN) / certificate.epsilon
     grid = simplex_grid_array(n, resolution)
-    in_ball = distances(grid, center.probs, norm) <= eta
+    in_ball = distances(grid, center.probs) <= eta
     outside = grid[~in_ball]
     q_out = float(functools.reduce(np.minimum, outside.T).max()) if outside.size else 0.0
     hi = d / n
@@ -404,7 +397,7 @@ def rejection_measure(contract: Contract, n: int | None = None) -> float:
     """Exact mass of uniformly drawn beliefs rho that reject, u - min_i d_i
     rho_i < 0.  They are the scaled simplex rho_i > u/d_i for all i, of mass
     max(0, 1 - sum_i u/d_i)^(n-1)."""
-    fines = contract.fines(SimpleAnnouncement(contract).states(n))
+    fines = contract.fines(n)
     return max(0.0, 1.0 - float(np.sum(contract.u / fines))) ** (len(fines) - 1)
 
 

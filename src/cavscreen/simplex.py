@@ -223,27 +223,22 @@ def _lattice_counts(n: int, resolution: int) -> np.ndarray:
     return np.column_stack([rows, left])
 
 
-def distances(points: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
+def distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of ``points`` from ``center``."""
     diff = points - center
-    if norm == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=1))
-    if norm == "sup":
-        return functools.reduce(np.maximum, np.abs(diff).T)
-    raise ValueError(f"unknown norm {norm!r} (use 'euclidean' or 'sup')")
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
-def ball_grid(
-    center: Belief, eta: float, resolution: int | None = None, norm: str = "euclidean"
-) -> np.ndarray:
-    """(k, n) lattice rows within distance eta of center, in lattice order.
+def ball_grid(center: Belief, eta: float, resolution: int | None = None) -> np.ndarray:
+    """(k, n) lattice rows within Euclidean distance eta of center, in lattice order.
 
-    The norm is measured on the full coordinate vector; never empty (the
+    The distance is measured on the full coordinate vector; never empty (the
     nearest lattice point to the center is always included).
     """
     if not eta > 0:
         raise ValueError(f"radius eta must be > 0, got {eta}")
     pts = simplex_grid_array(center.n, resolution)
-    dist = distances(pts, center.probs, norm)
+    dist = distances(pts, center.probs)
     inside = dist <= eta
     if not inside.any():
         inside[int(dist.argmin())] = True

@@ -107,9 +107,9 @@ _WIDTH, _HEIGHT = 720, 460
 
 
 def write_svg(
-    path, x: np.ndarray, series: Sequence[tuple[str, np.ndarray]], title: str = ""
+    path, x: np.ndarray, series: Sequence[tuple[str, np.ndarray]], title: str
 ) -> None:
-    """Minimal line plot: axes, ticks, one polyline per labeled series."""
+    """Minimal line plot: a title, axes, ticks, one polyline per labeled series."""
     left, right, top, bottom = 60.0, _WIDTH - 20.0, 30.0, _HEIGHT - 40.0
     x = np.asarray(x, dtype=float)
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
@@ -132,11 +132,8 @@ def write_svg(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
+        f'<text x="{0.5 * (left + right):.1f}" y="18" text-anchor="middle">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{0.5 * (left + right):.1f}" y="18" text-anchor="middle">{title}</text>'
-        )
     for k in range(5):
         xv = x_lo + k * (x_hi - x_lo) / 4
         yv = y_lo + k * (y_hi - y_lo) / 4

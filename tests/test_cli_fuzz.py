@@ -1,7 +1,7 @@
 """Property test of the CLI's exit-code contract: any YAML mapping over the
-keys the commands read, with any --grid value, exits 0, 1, 2 or 3 and never
-lets an exception escape.  Each command gets the options it reads, plus at
-times one more of the five; one it does not take exits 3.
+keys the commands read exits 0, 1, 2 or 3 and never lets an exception
+escape.  Each command gets the options it reads, plus at times one more of
+the four; one it does not take exits 3.
 
 ``acceptance`` is left out: it reads no config and runs every criterion.
 Values are kept small (n <= 4, resolution <= 12) so that each example runs
@@ -22,12 +22,12 @@ import cavscreen.cli as cli
 # The options each command reads.
 READS = {
     "example-one": {"--out"},
-    "figure": {"--config", "--grid", "--out", "--format"},
-    "screen": {"--config", "--grid"},
-    "prop2": {"--config", "--grid"},
-    "xi-screen": {"--config", "--seed", "--grid"},
+    "figure": {"--config", "--out", "--format"},
+    "screen": {"--config"},
+    "prop2": {"--config"},
+    "xi-screen": {"--config", "--seed"},
 }
-FLAGS = ("--config", "--seed", "--grid", "--out", "--format")
+FLAGS = ("--config", "--seed", "--out", "--format")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6),
@@ -68,8 +68,7 @@ epsilon_eta_T = st.fixed_dictionaries(
     {}, optional={k: mostly(small) for k in ("epsilon", "eta", "T")}
 )
 ball = mostly(st.fixed_dictionaries(
-    {}, optional={"center": mostly(beliefs), "eta": mostly(small),
-                  "norm": st.sampled_from(["euclidean", "sup", "taxicab"])},
+    {}, optional={"center": mostly(beliefs), "eta": mostly(small)},
 ))
 fields = {
     "model": model,
@@ -78,8 +77,6 @@ fields = {
     "resolution": mostly(st.integers(-1, 12)),
     "rho": mostly(beliefs),
     "eta": mostly(small),
-    "margin": mostly(small),
-    "norm": mostly(st.sampled_from(["euclidean", "sup", "taxicab"])),
     "ball": ball,
     "assumption": mostly(epsilon_eta_T),
     "priors": mostly(st.lists(st.floats(-0.5, 1.5), max_size=3)),
@@ -90,25 +87,23 @@ fields = {
     "uninformed": mostly(st.sampled_from(["maximin", "seu", "bogus"])),
 }
 configs = st.fixed_dictionaries({}, optional=fields)
-grids = st.one_of(st.none(), st.integers(-2, 12))
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    command=st.sampled_from(sorted(READS)), cfg=configs, grid=grids,
+    command=st.sampled_from(sorted(READS)), cfg=configs,
     extra=st.one_of(st.none(), st.sampled_from(FLAGS)),
 )
-def test_any_config_keeps_the_exit_code_contract(command, cfg, grid, extra):
-    # Without --grid the config's resolution is read; keep it small then too.
-    if not grid and cfg.get("resolution") is None:
+def test_any_config_keeps_the_exit_code_contract(command, cfg, extra):
+    # An unset resolution would mean the default lattice; keep it small.
+    if cfg.get("resolution") is None:
         cfg = dict(cfg, resolution=8)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.yaml")
         with open(path, "w") as fh:
             yaml.safe_dump(cfg, fh)
-        values = {"--config": path, "--out": tmp, "--seed": "1", "--format": "csv",
-                  "--grid": str(8 if grid is None else grid)}
-        flags = {flag for flag in READS[command] if flag != "--grid" or grid is not None}
+        values = {"--config": path, "--out": tmp, "--seed": "1", "--format": "csv"}
+        flags = set(READS[command])
         if extra is not None:
             flags.add(extra)
         argv = [command] + [a for flag in sorted(flags) for a in (flag, values[flag])]

@@ -18,6 +18,7 @@ from cavscreen.config import belief_from, contract_from, cost_model_from, load_c
 from cavscreen.costs import distribution_cost
 from cavscreen.simplex import Belief, PosteriorDistribution
 
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 MENU_MODEL = """\
 model:
   kind: fixed-menu
@@ -199,10 +200,9 @@ class TestScreenCommand:
         assert code == 2
         assert "infeasible" in err
 
-    def test_grid_flag_controls_resolution(self, capsys):
-        code = cli.main(
-            ["screen", "--config", "configs/example_one.yaml", "--grid", "200"]
-        )
+    def test_resolution_key_controls_resolution(self, capsys, tmp_path):
+        text = (CONFIG_DIR / "example_one.yaml").read_text() + "resolution: 200\n"
+        code = cli.main(["screen", "--config", write(tmp_path, "r200.yaml", text)])
         out = capsys.readouterr().out
         assert code == 0
         assert "resolution 200" in out
@@ -264,10 +264,10 @@ class TestXiScreenCommand:
 # The options each command takes: the ones it reads.  Adding one shows up here.
 OPTIONS = {
     "example-one": ["--out"],
-    "figure": ["--config", "--grid", "--out", "--format"],
-    "screen": ["--config", "--grid"],
-    "prop2": ["--config", "--grid"],
-    "xi-screen": ["--config", "--seed", "--grid"],
+    "figure": ["--config", "--out", "--format"],
+    "screen": ["--config"],
+    "prop2": ["--config"],
+    "xi-screen": ["--config", "--seed"],
     "acceptance": [],
 }
 
@@ -282,7 +282,7 @@ class TestCommandLine:
             for name, sub in subs.choices.items()
         }
         assert taken == OPTIONS
-        assert sum(map(len, taken.values())) == 12
+        assert sum(map(len, taken.values())) == 8
 
     @pytest.mark.parametrize(
         "argv",
@@ -308,6 +308,25 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("figure", "", id="figure"),
+            pytest.param("screen", (CONFIG_DIR / "shannon_window.yaml").read_text(), id="screen"),
+            pytest.param("prop2", "rho: [0.25, 0.75]\n", id="prop2"),
+            pytest.param("xi-screen", "", id="xi-screen"),
+        ],
+    )
+    def test_grid_flag_is_a_config_error(self, capsys, tmp_path, command, text):
+        # Each config runs to exit 0; the lattice is named by its resolution key alone.
+        argv = [command, "--config", write(tmp_path, "cfg.yaml", text)] + out(command, tmp_path)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(argv + ["--grid", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [[], ["screen", "--bogus"]], ids=["no-command", "unknown-flag"])
@@ -328,7 +347,6 @@ class TestCommandLine:
         assert capsys.readouterr().out.startswith("usage: cavscreen")
 
 
-CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 ENTROPY_SCREEN = "model:\n  kappa: 0.1\ncontract:\n  u: 0.1\n  d: 1.0\n"
 
@@ -374,10 +392,6 @@ class TestErrorPaths:
             pytest.param(
                 "screen", "model:\n  kappa: 0.1\ncontract: search\nn: 2\neta: wide\n",
                 id="eta-not-a-number",
-            ),
-            pytest.param(
-                "screen", "model:\n  kappa: 0.1\ncontract: search\nn: 2\nnorm: taxicab\n",
-                id="unknown-norm",
             ),
             pytest.param(
                 "screen", ENTROPY_SCREEN + "n: 2\nrho: [0.5, 0.3, 0.2]\nuninformed: seu\n",
@@ -475,18 +489,22 @@ class TestErrorPaths:
         assert code in (0, 1, 2, 3)
 
     @pytest.mark.parametrize(
-        "command, text, grid",
+        "command, text",
         [
-            pytest.param("screen", ENTROPY_SCREEN + "n: 3\n", "100000", id="grid-1e5-at-n3"),
-            pytest.param("screen", ENTROPY_SCREEN + "n: 1000\n", None, id="n-1000"),
-            pytest.param("xi-screen", "n: 3\n", "100000", id="xi-screen-grid-1e5"),
-            pytest.param("prop2", "model:\n  kappa: 0.1\nrho: [0.2, 0.3, 0.5]\n", "100000",
-                         id="prop2-grid-1e5"),
-            pytest.param("figure", "", "10000000", id="figure-grid-1e7"),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "n: 3\nresolution: 100000\n", id="grid-1e5-at-n3"
+            ),
+            pytest.param("screen", ENTROPY_SCREEN + "n: 1000\n", id="n-1000"),
+            pytest.param("xi-screen", "n: 3\nresolution: 100000\n", id="xi-screen-grid-1e5"),
+            pytest.param(
+                "prop2", "model:\n  kappa: 0.1\nrho: [0.2, 0.3, 0.5]\nresolution: 100000\n",
+                id="prop2-grid-1e5",
+            ),
+            pytest.param("figure", "resolution: 10000000\n", id="figure-grid-1e7"),
         ],
     )
     def test_grid_too_large_to_build_is_a_config_error(
-        self, capsys, monkeypatch, tmp_path, command, text, grid
+        self, capsys, monkeypatch, tmp_path, command, text
     ):
         # Lattices are enumerated through simplex._lattice_counts; a call on
         # the oversized one would mean the size check came too late.
@@ -499,7 +517,7 @@ class TestErrorPaths:
 
         monkeypatch.setattr(simplex, "_lattice_counts", refuse)
         argv = [command, "--config", write(tmp_path, "big.yaml", text)] + out(command, tmp_path)
-        assert cli.main(argv + (["--grid", grid] if grid else [])) == 3
+        assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "coordinates" in err
 
@@ -512,10 +530,10 @@ class TestErrorPaths:
             pytest.param("figure", "", id="figure"),
         ],
     )
-    def test_grid_zero_is_a_config_error(self, capsys, tmp_path, command, text):
-        # --grid 0 sets a resolution of 0; it must not fall back to the default.
-        argv = [command, "--config", write(tmp_path, "cfg.yaml", text)] + out(command, tmp_path)
-        assert cli.main(argv + ["--grid", "0"]) == 3
+    def test_resolution_zero_is_a_config_error(self, capsys, tmp_path, command, text):
+        # resolution: 0 sets a resolution of 0; it must not fall back to the default.
+        path = write(tmp_path, "cfg.yaml", text + "resolution: 0\n")
+        assert cli.main([command, "--config", path] + out(command, tmp_path)) == 3
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_acceptance_exit_codes(self, capsys, monkeypatch):

@@ -81,7 +81,7 @@ class TestPosterior:
 
     def test_zero_probability_signal(self):
         E = fully_informative(2)
-        with pytest.raises(ZeroProbabilitySignal):
+        with pytest.raises(ZeroProbabilitySignal, match=r"^signal 1 has zero probability at "):
             posterior(E, belief2(1.0), 1)
 
 

@@ -218,6 +218,7 @@ class TestScreens:
             resolution=10,
             uninformed_kind="maximin",
             worst_prior=belief2(0.5),
+            prior_set="simplex grid, resolution 10",
         )
         assert ScreeningReport(uninformed_value=-0.1, informed_min=0.0, **base).screens
         assert not ScreeningReport(uninformed_value=0.0, informed_min=0.0, **base).screens
@@ -239,7 +240,7 @@ class TestScreens:
         with pytest.raises(DimensionMismatch):
             screens(model, contract, 2, uninformed="seu", rho=Belief((0.5, 0.3, 0.2)))
         with pytest.raises(DimensionMismatch):
-            screens(model, contract, 3, grid=[belief2(0.5)])
+            screens(model, contract, 3, grid=np.array([[0.5, 0.5]]))
 
     @pytest.mark.parametrize(
         "grid",
@@ -318,7 +319,7 @@ class TestWholeSimplex:
         contract = Contract(0.2, 1.0)
         calls = [
             lambda: screens(entropy, contract, 3, resolution=20),
-            lambda: screens(entropy, contract, 3, grid=[uniform_belief(3)]),
+            lambda: screens(entropy, contract, 3, grid=uniform_belief(3).probs[None, :]),
             lambda: screens(entropy, Contract(0.0485, 0.1), variant="urn"),
             lambda: screens(PosteriorSeparable(0.3, quadratic()), contract, 3),
             lambda: screens(worked_menu(), worked_contract(), 2),
@@ -575,7 +576,7 @@ class TestUrnVariant:
         rho = Belief((0.5, 0.2, 0.3))
         report = screens(
             PosteriorSeparable(0.01, neg_entropy()), Contract(0.03, 0.1), 3,
-            grid=[rho], uninformed="seu", rho=rho, variant="urn",
+            grid=rho.probs[None, :], uninformed="seu", rho=rho, variant="urn",
         )
         # calling red misses 0.2 + 2 * 0.3 = 0.8 times in expectation
         assert report.uninformed_value == pytest.approx(0.03 - 0.05 * 0.8, abs=1e-12)
@@ -640,22 +641,3 @@ class TestLatticeSetUp:
         assert (report.prior_set, report.resolution) == ("whole simplex", 0)
         with pytest.raises(ValueError, match="coordinates"):
             screens(model, Contract(0.3, 1.0), 1000)
-
-    @pytest.mark.parametrize(
-        "model, variant",
-        [
-            (PosteriorSeparable(0.3, neg_entropy()), "simple"),
-            (PosteriorSeparable(0.01, neg_entropy()), "urn"),
-            (PosteriorSeparable(0.5, quadratic()), "simple"),
-        ],
-    )
-    def test_an_array_grid_and_a_list_of_beliefs_give_one_report(self, model, variant):
-        contract = Contract(0.03, 0.1) if variant == "urn" else Contract(0.2, 1.0)
-        ball = ball_grid(uniform_belief(3), 0.15, 60)
-        as_array = screens(model, contract, 3, grid=ball, variant=variant)
-        beliefs = [Belief(row) for row in ball]
-        as_beliefs = screens(model, contract, 3, grid=beliefs, variant=variant)
-        assert as_array.to_text() == as_beliefs.to_text()
-        assert as_array.informed_min == as_beliefs.informed_min
-        assert np.array_equal(as_array.worst_prior.probs, as_beliefs.worst_prior.probs)
-        assert as_array.prior_set == f"custom grid, {len(ball)} priors"

@@ -21,8 +21,7 @@ from cavscreen import (
     uniform_belief,
 )
 from cavscreen.informed import default_resolution
-from cavscreen.simplex import distances
-from helpers import assert_same_bits, barycenter, fold_stacks
+from helpers import barycenter
 
 
 def stars_and_bars(n, resolution):
@@ -216,15 +215,3 @@ class TestBallGrid:
         ball = ball_grid(uniform_belief(3), 0.01, 3)
         assert ball.shape == (1, 3)
         np.testing.assert_allclose(ball[0], 1.0 / 3.0, atol=1e-12)
-
-    def test_sup_norm_option_is_wider_on_the_line(self):
-        eucl = ball_grid(belief2(0.5), 0.05, 100)
-        sup = ball_grid(belief2(0.5), 0.05, 100, norm="sup")
-        assert len(sup) > len(eucl)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_sup_distance_fold_matches_row_maximum(self, n):
-        center = np.random.default_rng(n).dirichlet(np.ones(n))
-        for pts in fold_stacks(n).values():
-            want = np.abs(pts - center).max(axis=1)
-            assert_same_bits(distances(pts, center, "sup"), want)
