@@ -200,12 +200,37 @@ class TestScreenCommand:
         assert code == 2
         assert "infeasible" in err
 
-    def test_resolution_key_controls_resolution(self, capsys, tmp_path):
+    def test_grid_flag_controls_resolution(self, capsys, tmp_path):
         text = (CONFIG_DIR / "example_one.yaml").read_text() + "resolution: 200\n"
         code = cli.main(["screen", "--config", write(tmp_path, "r200.yaml", text)])
         out = capsys.readouterr().out
         assert code == 0
         assert "resolution 200" in out
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            pytest.param(MENU_MODEL + "contract: search\nn: 2\n", "norm", "sup", id="norm"),
+            pytest.param(MENU_MODEL + "contract: search\nn: 2\n", "margin", 0.5, id="margin"),
+            pytest.param((CONFIG_DIR / "urn_color_calls.yaml").read_text(), "ball.norm", "sup",
+                         id="ball-norm"),
+            pytest.param((CONFIG_DIR / "example_one.yaml").read_text(), "model.menu.0.signals",
+                         ["h"], id="signals"),
+        ],
+    )
+    def test_unread_keys_leave_the_verdict_alone(self, capsys, tmp_path, base, key, value):
+        # Each value would change the output or fail, were the key read.
+        cfg = yaml.safe_load(base)
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[leaf] = value
+        without = cli.main(["screen", "--config", write(tmp_path, "without.yaml", base)])
+        want = capsys.readouterr()
+        path = write(tmp_path, "with.yaml", yaml.safe_dump(cfg))
+        assert cli.main(["screen", "--config", path]) == without == 0
+        assert capsys.readouterr() == want
 
 
 class TestFigureCommand:
@@ -530,7 +555,7 @@ class TestErrorPaths:
             pytest.param("figure", "", id="figure"),
         ],
     )
-    def test_resolution_zero_is_a_config_error(self, capsys, tmp_path, command, text):
+    def test_grid_zero_is_a_config_error(self, capsys, tmp_path, command, text):
         # resolution: 0 sets a resolution of 0; it must not fall back to the default.
         path = write(tmp_path, "cfg.yaml", text + "resolution: 0\n")
         assert cli.main([command, "--config", path] + out(command, tmp_path)) == 3

@@ -21,7 +21,8 @@ from cavscreen import (
     uniform_belief,
 )
 from cavscreen.informed import default_resolution
-from helpers import barycenter
+from cavscreen.simplex import distances
+from helpers import assert_same_bits, barycenter, fold_stacks
 
 
 def stars_and_bars(n, resolution):
@@ -215,3 +216,9 @@ class TestBallGrid:
         ball = ball_grid(uniform_belief(3), 0.01, 3)
         assert ball.shape == (1, 3)
         np.testing.assert_allclose(ball[0], 1.0 / 3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_distances_match_the_row_norm(self, n):
+        center = np.random.default_rng(n).dirichlet(np.ones(n))
+        for pts in fold_stacks(n).values():
+            assert_same_bits(distances(pts, center), np.linalg.norm(pts - center, axis=1))
