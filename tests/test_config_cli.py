@@ -200,7 +200,7 @@ class TestScreenCommand:
         assert code == 2
         assert "infeasible" in err
 
-    def test_grid_flag_controls_resolution(self, capsys, tmp_path):
+    def test_resolution_key_controls_lattice(self, capsys, tmp_path):
         text = (CONFIG_DIR / "example_one.yaml").read_text() + "resolution: 200\n"
         code = cli.main(["screen", "--config", write(tmp_path, "r200.yaml", text)])
         out = capsys.readouterr().out
@@ -312,7 +312,6 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["screen", "--grid", "abc"], id="grid-not-an-int"),
             pytest.param(["xi-screen", "--seed", "1.5"], id="seed-not-an-int"),
             pytest.param(["figure", "--format", "pdf"], id="unknown-format"),
             pytest.param(["example-one", "--format", "svg"], id="example-one-format"),
@@ -324,31 +323,20 @@ class TestCommandLine:
                          id="screen-seed"),
             pytest.param(["acceptance", "--config", "x"], id="acceptance-config"),
             pytest.param(["example-one", "--grid", "5"], id="example-one-grid"),
+            # The lattice is named by YAML resolution alone: no command takes --grid.
+            pytest.param(["figure", "--out", "{tmp}", "--grid", "40"], id="figure-grid"),
+            pytest.param(["screen", "--config", str(CONFIG_DIR / "shannon_window.yaml"),
+                          "--grid", "40"], id="screen-grid"),
+            pytest.param(["prop2", "--config", "{tmp}/rho.yaml", "--grid", "40"], id="prop2-grid"),
+            pytest.param(["xi-screen", "--grid", "40"], id="xi-screen-grid"),
             pytest.param([], id="no-command"),
             pytest.param(["bogus"], id="unknown-command"),
         ],
     )
-    def test_rejected_command_lines_are_config_errors(self, capsys, argv):
-        assert cli.main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: ")
-
-    @pytest.mark.parametrize(
-        "command, text",
-        [
-            pytest.param("figure", "", id="figure"),
-            pytest.param("screen", (CONFIG_DIR / "shannon_window.yaml").read_text(), id="screen"),
-            pytest.param("prop2", "rho: [0.25, 0.75]\n", id="prop2"),
-            pytest.param("xi-screen", "", id="xi-screen"),
-        ],
-    )
-    def test_grid_flag_is_a_config_error(self, capsys, tmp_path, command, text):
-        # Each config runs to exit 0; the lattice is named by its resolution key alone.
-        argv = [command, "--config", write(tmp_path, "cfg.yaml", text)] + out(command, tmp_path)
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        assert cli.main(argv + ["--grid", "40"]) == 3
+    def test_rejected_command_lines_are_config_errors(self, capsys, tmp_path, argv):
+        # {tmp} is a scratch directory holding rho.yaml, a config prop2 runs on.
+        write(tmp_path, "rho.yaml", "rho: [0.25, 0.75]\n")
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
