@@ -98,7 +98,7 @@ def _cmd_example_one(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "example_one.csv")
     write_csv(path, ["prior", "stay_put", "informed"],
-              [[format(v, ".12g") for v in row] for row in rows])
+              [",".join(format(v, ".12g") for v in row) for row in rows])
     print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_MISMATCH
 

@@ -401,6 +401,13 @@ def rejection_measure(contract: Contract, n: int | None = None) -> float:
     return max(0.0, 1.0 - float(np.sum(contract.u / fines))) ** (len(fines) - 1)
 
 
+def _flat_dirichlet_minima(samples: int, n: int, seed: int) -> np.ndarray:
+    """Row minima of default_rng(seed).dirichlet(np.ones(n), samples), bit for bit: a row is
+    these exponentials times 1 / their left-to-right sum, and that rounding keeps their order."""
+    draws = np.random.default_rng(seed).standard_exponential((samples, n)).T
+    return functools.reduce(np.minimum, draws) * (1.0 / functools.reduce(np.add, draws))
+
+
 def xi_screen_search(
     model: CostModel,
     xi: float,
@@ -421,19 +428,16 @@ def xi_screen_search(
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if _menu_states(model) - {n}:
         raise DimensionMismatch(
             f"n={n}, the menu's experiments have {sorted(_menu_states(model))} states"
         )
     grid = simplex_grid_array(n, resolution)
-    if isinstance(model, FixedMenu):
-        scale = max((price for _, price in model.entries), default=0.0) + 1.0
-    else:
-        scale = model.kappa
-    rng = np.random.default_rng(seed)
-    # Each draw's smallest coordinate, reduced column by column: a row-wise
-    # min over the short axis of the (samples, n) array is many times slower.
-    min_draw = np.minimum.reduce(rng.dirichlet(np.ones(n), size=samples).T.copy())
+    menu = isinstance(model, FixedMenu)
+    scale = max((price for _, price in model.entries), default=0.0) + 1.0 if menu else model.kappa
+    min_draw = _flat_dirichlet_minima(samples, n, seed)
     target = 1.0 - xi
     best: XiScreenResult | None = None
     for d in scale * np.geomspace(0.5, 512.0, _FINE_STEPS):
@@ -442,7 +446,7 @@ def xi_screen_search(
         if not u < d / n:
             # No payment below the rejection bound (or none at all).
             continue
-        phat = float((min_draw > u / d).mean())
+        phat = int(np.count_nonzero(min_draw > u / d)) / samples
         half = _Z95 * float(np.sqrt(phat * (1.0 - phat) / samples))
         candidate = XiScreenResult(
             Contract(float(u), float(d)), phat, half, u + worst_base, samples

@@ -79,26 +79,23 @@ def learning_regions(traces: FigureTraces) -> list[tuple[float, float]]:
     return [(x[a], x[b - 1]) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
 
 
-def figure_table(traces: FigureTraces) -> tuple[list[str], list[list[str]]]:
-    """Header and formatted rows covering the shared traces and the shifted
-    curve plus envelope for every prior."""
+def figure_table(traces: FigureTraces) -> tuple[list[str], list[str]]:
+    """Header and comma-joined lines covering the shared traces and the
+    shifted curve plus envelope for every prior."""
     header = ["x", "gross", "objective", "envelope"]
-    for p in traces.priors:
-        header += [f"curve[{p:g}]", f"envelope[{p:g}]"]
     columns = [traces.x, traces.gross, traces.objective, traces.envelope]
-    for off in traces.offsets:
+    for p, off in zip(traces.priors, traces.offsets):
+        header += [f"curve[{p:g}]", f"envelope[{p:g}]"]
         columns += [traces.objective + off, traces.envelope + off]
-    template = ",".join(["%.12g"] * len(columns))
-    rows = [(template % row).split(",") for row in zip(*(c.tolist() for c in columns))]
-    return header, rows
+    template = "\n".join([",".join(["%.12g"] * len(columns))] * len(traces.x))
+    return header, (template % tuple(np.column_stack(columns).ravel().tolist())).split("\n")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     """CSV with CRLF line ends, as the csv module writes it, for fields that
-    need no quoting (numbers and plain labels)."""
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    need no quoting (numbers and plain labels), from comma-joined lines."""
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("\r\n".join([",".join(header), *lines]) + "\r\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -145,12 +142,10 @@ def write_svg(
             f'<line x1="{left - 4}" y1="{sy(yv):.1f}" x2="{left}" y2="{sy(yv):.1f}" stroke="black"/>'
             f'<text x="{left - 7}" y="{sy(yv) + 4:.1f}" text-anchor="end">{yv:.4g}</text>'
         )
-    px = sx(x)
-    template = " ".join(["%.2f,%.2f"] * x.size)
+    template = " ".join(["%.2f,%%.2f"] * x.size) % tuple(sx(x).tolist())  # "x,%.2f ..."
     for k, (label, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        pairs = np.column_stack([px, sy(np.asarray(y, dtype=float))]).ravel()
-        coords = template % tuple(pairs.tolist())
+        coords = template % tuple(sy(np.asarray(y, dtype=float)).tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -69,6 +69,12 @@ def rejection_measure_mc(contract, n=None, *, samples=100_000, seed=0):
     return phat, 1.96 * float(np.sqrt(phat * (1.0 - phat) / samples))
 
 
+def dirichlet_minima(samples: int, n: int, seed: int) -> np.ndarray:
+    """Row minima of ``samples`` flat Dirichlet draws on n states from the
+    generator seeded ``seed``, as numpy draws them."""
+    return np.random.default_rng(seed).dirichlet(np.ones(n), size=samples).min(axis=1)
+
+
 def stay_oracle(P, kappa: float, priors) -> tuple[np.ndarray, np.ndarray]:
     """Stay flags and stay values of ``shannon.solve`` by its general test,
     for any game: staying put with the announce action a* (the first best)

@@ -16,7 +16,7 @@ import cavscreen.simplex as simplex
 from cavscreen import ConfigError, FixedMenu, PosteriorSeparable, degenerate, belief2
 from cavscreen.config import belief_from, contract_from, cost_model_from, load_config
 from cavscreen.costs import distribution_cost
-from cavscreen.simplex import Belief, PosteriorDistribution
+from cavscreen.simplex import PosteriorDistribution
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 MENU_MODEL = """\

@@ -32,7 +32,6 @@ from cavscreen import (
     quadratic,
     rejection_measure,
     screens,
-    symmetric_binary,
     uniform_belief,
     uninformed_maximin,
     upsilon,
@@ -42,7 +41,7 @@ import cavscreen.cli as cli
 from cavscreen import screening, shannon, simplex
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
-from helpers import assert_same_bits, fold_stacks, rejection_measure_mc
+from helpers import assert_same_bits, dirichlet_minima, fold_stacks, rejection_measure_mc
 
 
 def payoff_matrix(u, fines):
@@ -518,6 +517,29 @@ class TestXiScreen:
     def test_xi_zero_rejected(self):
         with pytest.raises(ValueError):
             xi_screen_search(PosteriorSeparable(0.01, neg_entropy()), 0.0)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_too_few_samples_rejected(self, samples):
+        # No draws would price a NaN rejection; fewer would be no array at all.
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            xi_screen_search(PosteriorSeparable(0.01, neg_entropy()), 0.2, samples=samples)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_draw_minima_match_dirichlet_rows(self, n):
+        for seed, samples in ((0, 3000), (1, 1), (7, 2), (4242, 1001)):
+            assert_same_bits(
+                screening._flat_dirichlet_minima(samples, n, seed),
+                dirichlet_minima(samples, n, seed),
+            )
+
+    def test_rejection_counts_the_dirichlet_minima(self):
+        # The estimate is the share of flat Dirichlet draws whose smallest
+        # coordinate clears u/d, to the bit.
+        model = PosteriorSeparable(0.01, neg_entropy())
+        found = xi_screen_search(model, 0.2, n=2, samples=20_000, seed=8)
+        minima = dirichlet_minima(20_000, 2, 8)
+        share = (minima > found.contract.u / found.contract.d).mean()
+        assert found.rejection == share and type(found.rejection) is float
 
     def test_exhaustion_without_learning(self):
         # with no experiments for sale the informed type never accepts any

@@ -15,9 +15,55 @@ from cavscreen import (
     figure_table,
     learning_regions,
     neg_entropy,
+    quadratic,
     write_csv,
     write_svg,
 )
+from cavscreen.traces import FigureTraces
+
+
+def table_oracle(traces):
+    """figure_table's lines, one field at a time."""
+    columns = [traces.x, traces.gross, traces.objective, traces.envelope]
+    for off in traces.offsets:
+        columns += [traces.objective + off, traces.envelope + off]
+    return [",".join(format(v, ".12g") for v in row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def points_oracle(x, series):
+    """write_svg's polyline points, one "%.2f,%.2f" pair at a time, on its
+    720 x 460 canvas with 5% vertical padding."""
+    left, right, top, bottom = 60.0, 700.0, 30.0, 420.0
+    ys = np.concatenate([y for _, y in series])
+    y_lo, y_hi = ys.min(), ys.max()
+    if y_hi - y_lo < 1e-12:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    px = left + (x - x.min()) / (x.max() - x.min()) * (right - left)
+    pys = [bottom - (y - y_lo) / (y_hi - y_lo) * (bottom - top) for _, y in series]
+    return [" ".join("%.2f,%.2f" % pair for pair in zip(px, py)) for py in pys]
+
+
+# Traces whose fields take negative, signed-zero and exponent forms.
+EDGE_VALUES = np.array(
+    [-0.0, 0.0, 5e-324, 1e-300, -2.5e-7, 1.0 / 3.0, 0.1, 123456789012.5, 1e16, -1e22]
+)
+EDGE_TRACES = {
+    "crafted": FigureTraces(
+        x=EDGE_VALUES, gross=-EDGE_VALUES, objective=EDGE_VALUES[::-1],
+        envelope=EDGE_VALUES * 1e-5, priors=(0.47, 0.5), offsets=(-0.0, 1e-17),
+        values=(), plans=(),
+    ),
+    **{
+        name: binary_figure_traces(PosteriorSeparable(kappa, potential), contract, resolution=60)
+        for name, kappa, potential, contract in (
+            ("tiny", 1e-9, neg_entropy(), Contract(2e-12, 5e-12)),
+            ("huge", 1e9, neg_entropy(), Contract(1e14, 3e14)),
+            ("negative", 3.0, quadratic(), Contract(0.2, 1.0)),
+        )
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +184,36 @@ class TestEmission:
 
     def test_csv_layout(self, designed, tmp_path):
         _, _, traces = designed
-        header, rows = figure_table(traces)
+        header, lines = figure_table(traces)
         assert header[:4] == ["x", "gross", "objective", "envelope"]
-        assert len(rows) == len(traces.x)
-        assert len(rows[0]) == len(header)
+        assert [len(line.split(",")) for line in lines] == [len(header)] * len(traces.x)
+
+    @pytest.mark.parametrize("case", ["designed", *EDGE_TRACES])
+    def test_csv_lines_match_per_field_formatting(self, case, designed, tmp_path):
+        traces = designed[2] if case == "designed" else EDGE_TRACES[case]
+        header, lines = figure_table(traces)
+        want = table_oracle(traces)
+        assert lines == want
+        write_csv(tmp_path / "t.csv", header, lines)
+        assert (tmp_path / "t.csv").read_bytes() == ",".join(header).encode() + b"".join(
+            b"\r\n" + line.encode() for line in want
+        ) + b"\r\n"
+
+    def test_csv_edge_fields_take_every_form(self):
+        fields = {f for line in figure_table(EDGE_TRACES["crafted"])[1] for f in line.split(",")}
+        forms = {"-0", "0", "4.94065645841e-324", "1e-300", "-2.5e-07", "123456789012", "-1e+22"}
+        assert forms <= fields
+
+    @pytest.mark.parametrize("case", ["designed", *EDGE_TRACES])
+    def test_svg_points_match_per_pair_formatting(self, case, designed, tmp_path):
+        traces = designed[2] if case == "designed" else EDGE_TRACES[case]
+        series = [("gross", traces.gross), ("objective", traces.objective),
+                  ("envelope", traces.envelope)]
+        path = tmp_path / "figure.svg"
+        write_svg(path, traces.x, series, title="traces")
+        root = ET.parse(path).getroot()
+        got = [e.get("points") for e in root.iter() if e.tag.endswith("polyline")]
+        assert got == points_oracle(traces.x, series)
 
     def test_svg_is_wellformed(self, designed, tmp_path):
         _, _, traces = designed
