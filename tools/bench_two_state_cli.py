@@ -10,7 +10,7 @@ alternating which tree runs first.  A process times each case as the median
 of repeated calls after a warm-up; the table gives, per tree and case, the
 median over rounds with its quartiles (the noise band).  The layers run on
 the default figure's traces (neg-entropy, kappa 1, the designed contract,
-1,003 x samples): the CSV table formatted and written, the SVG polylines
+1,001 x samples): the CSV table formatted and written, the SVG polylines
 written, and the row minima of 100,000 flat Dirichlet draws at n = 2, as
 ``xi_screen_search`` takes them.  The commands are ``cli.main(["figure",
 "--format", "both"])`` and ``cli.main(["xi-screen"])`` in-process, with
