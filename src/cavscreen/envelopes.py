@@ -1,41 +1,44 @@
 """Upper concave envelopes of sampled objectives on belief grids.
 
-Two constructions back every grid-priced informed value:
+Three constructions back every grid-priced informed value:
 
 * ``Envelope1d``: the upper hull of (x, f(x)) samples for two-state
   problems, read off the antitonic regression of the sample slopes and
-  cleared of collinear vertices.  Exact on the grid.
+  cleared of collinear vertices.  Exact on the grid.  ``values`` answers
+  sweeps and ``split`` one prior, with a plan.
 * ``SimplexEnvelope``: the lifted convex hull of grid samples for n >= 3,
   evaluated as a minimum over the upper-facet planes whose facets lie near
-  the queries.  Exact on the hull of the grid.
+  the queries.  Exact on the hull of the grid.  It answers sweeps.
+* ``concavify_walk``: the simplex method on the plan weights at one prior
+  on n >= 3 states, with a plan.
 
-Each is built once per objective and shares one interface: ``values``
-answers whole-grid sweeps in vectorized batches, and ``split`` takes a
-``Belief`` and returns the envelope value there with an optimal plan on the
-hull vertices around it, ties going to staying put.  A single prior is
-therefore one row of a sweep.
-
-``concavify_lp`` solves the defining linear program, in dual form.  It is
-dimension-agnostic and returns a basic optimal plan with at most n support
-points.  It answers single priors on n >= 4 states under potentials other
-than negative entropy, where it is faster than building the hull, and it is
-the independent check on both hull constructions.
+Plans hold at most n grid points, and ties go to staying put.
+``concavify_lp`` solves the same linear program with HiGHS; it only checks
+the other three.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.optimize import isotonic_regression, linprog
 from scipy.spatial import ConvexHull
 
-from .errors import EmptyGrid, InfeasibleBarycenter
-from .simplex import COORD_TOL, Belief, PosteriorDistribution, belief2, degenerate
+from .errors import EmptyGrid, InfeasibleBarycenter, NotCertified
+from .simplex import Belief, PosteriorDistribution, belief2, degenerate
 
 # Weights below this are dropped from returned plans.
 _WEIGHT_TOL = 1e-12
 # A query this close to a grid point that attains the envelope is treated as
 # locally concave: the returned plan degenerates to that point.
 _CONTACT_TOL = 1e-9
+# concavify_walk stops once no reduced cost exceeds _PRICE_TOL (1 + max|f|).
+# After _STALL_PIVOTS pivots of zero length in a row it pivots by Bland's
+# rule until one moves, and it gives up after _MAX_PIVOTS pivots in all.
+_PRICE_TOL = 1e-13
+_STALL_PIVOTS = 50
+_MAX_PIVOTS = 10_000
 # Query rows per block in SimplexEnvelope.values.  Each block is evaluated
 # on the facets whose bounding box meets the block's, so blocks of nearby
 # rows (callers pass lattice rows in order) keep that candidate set small.
@@ -76,7 +79,7 @@ class Envelope1d:
         """Envelope value at mu and an optimal plan on at most two grid points:
         mu's weights on the hull vertices on either side of it.
 
-        Ties break toward no learning, as in ``SimplexEnvelope.split``.
+        Ties break toward no learning, as in ``concavify_walk``.
         """
         x = mu[0]
         if not self.hull_x[0] <= x <= self.hull_x[-1]:
@@ -194,6 +197,62 @@ def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
     return value, _prune_plan(pts, -res.ineqlin.marginals, mu)
 
 
+def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
+    """Concavification at one prior by the primal simplex method on the plan
+    weights, from the unit vertices of mu's face (which the samples must
+    hold) with weights mu; samples off that face are never priced.
+
+    Each pivot prices every sample against the plane through the basis in
+    one product, and the largest reduced cost enters; of the ratio test's
+    ties, the sample whose weight falls fastest leaves.  Past a run of
+    zero-length pivots, Bland's smallest-index pair is taken until one
+    moves, so a degenerate prior cannot cycle.  Returns the optimum and a
+    basic optimal plan (at most n points); ties break toward no learning.
+    """
+    pts, g = np.asarray(points, dtype=float), np.asarray(fs, dtype=float)
+    if pts.shape != (g.size, mu.n):
+        raise ValueError(f"points must be (N, {mu.n}) with one sample per row")
+    face, on = mu.probs > 0.0, slice(None)
+    x, gx, target = pts, g, mu.probs
+    if not face.all():
+        off = (pts[:, k] == 0.0 for k in np.flatnonzero(~face))
+        on = np.flatnonzero(functools.reduce(np.logical_and, off))
+        x, gx, target = pts[on][:, face], g[on], mu.probs[face]
+    m = len(target)
+    hits = np.flatnonzero(x.ravel() == 1.0).tolist()
+    basis = [next((h // m for h in hits if h % m == k), None) for k in range(m)]
+    if None in basis:
+        raise ValueError("the samples must hold the unit vertices of the prior's face")
+    tol = _PRICE_TOL * (1.0 + float(np.abs(gx).max()))
+    stalled, reduced = 0, np.empty_like(gx)
+    for _ in range(_MAX_PIVOTS):
+        corners = x[basis].T
+        np.matmul(x, np.linalg.solve(corners.T, gx[basis]), out=reduced)
+        np.subtract(gx, reduced, out=reduced)
+        enter = int(reduced.argmax())
+        if reduced[enter] <= tol:
+            break
+        bland = stalled >= _STALL_PIVOTS
+        if bland:
+            enter = int((reduced > tol).argmax())
+        weights, step = np.linalg.solve(corners, np.column_stack([target, x[enter]])).T.tolist()
+        ratios = [
+            (w if w > _WEIGHT_TOL else 0.0) / s if s > _WEIGHT_TOL else np.inf
+            for w, s in zip(weights, step)
+        ]
+        ties = [i for i, r in enumerate(ratios) if r == min(ratios)]
+        leave = min(ties, key=basis.__getitem__) if bland else max(ties, key=step.__getitem__)
+        basis[leave] = enter
+        stalled = stalled + 1 if ratios[leave] == 0.0 else 0
+    else:
+        raise NotCertified(f"the concavification walk at {mu} took over {_MAX_PIVOTS} pivots")
+    weights = np.linalg.solve(corners, target)
+    value = float(weights @ gx[basis])
+    if _contact(pts, g, mu.probs, value) is not None:
+        return value, degenerate(mu)
+    return value, _prune_plan(pts[on][basis], weights, mu)
+
+
 class SimplexEnvelope:
     """Upper concave envelope of f sampled on an (n-1)-simplex grid, n >= 3.
 
@@ -259,33 +318,3 @@ class SimplexEnvelope:
             planes = block @ self._alpha[near].T + self._beta[near]
             out[start : start + _CHUNK] = planes.min(axis=1, initial=np.inf)
         return out
-
-    def value(self, mu: Belief) -> float:
-        return float(self.values(mu.probs[None, :])[0])
-
-    def split(self, mu: Belief) -> tuple[float, PosteriorDistribution]:
-        """Envelope value at mu and an optimal plan on at most n grid points:
-        mu's barycentric weights on the vertices of the upper facet above it.
-
-        Ties break toward no learning, as in ``concavify_lp``.  Of the facets
-        whose plane is tight at mu, the one whose smallest weight is largest
-        carries the plan.
-        """
-        value = self.value(mu)
-        if _contact(self.points, self.fs, mu.probs, value) is not None:
-            return value, degenerate(mu)
-        tol = _CONTACT_TOL * (1.0 + abs(value))
-        tight = self._facets[self._alpha @ mu.probs[: self.n - 1] + self._beta <= value + tol]
-        # corners[k] holds facet k's vertices as columns; solve corners @ w = mu.
-        # qhull's triangulated output may hold zero-area facets; skip them.
-        corners = np.swapaxes(self.points[tight], 1, 2)
-        flat = np.linalg.det(corners) == 0.0
-        corners, tight = corners[~flat], tight[~flat]
-        if not tight.size:
-            raise InfeasibleBarycenter(f"{mu} lies under no upper facet of the envelope")
-        rhs = np.broadcast_to(mu.probs, tight.shape)[..., None]
-        weights = np.linalg.solve(corners, rhs)[..., 0]
-        best = int(weights.min(axis=1).argmax())
-        if weights[best].min() < -COORD_TOL:
-            raise InfeasibleBarycenter(f"{mu} lies outside the grid's convex hull")
-        return value, _prune_plan(self.points[tight[best]], weights[best], mu)

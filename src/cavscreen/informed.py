@@ -11,14 +11,14 @@ is the one-row case of a sweep over priors, on one of three routes:
   exactly and certified by ``shannon.solve``, with no belief grid;
 - every other cost samples the objective on the lattice stacked with the
   queried priors and takes the concave envelope of those samples, which
-  biases the value low: a 1-D envelope on two states, a hull on three, and
-  on four or more a hull for a sweep but the concavification LP for a
-  single prior.  Priors equal to the lattice are sampled once, not stacked
-  on it; the potential on the shared default lattice is computed once per
-  potential.
+  biases the value low: a 1-D envelope on two states, and on three or more
+  a hull for a sweep of two or more priors but the simplex walk
+  (``concavify_walk``) for a single prior.  Priors equal to the lattice
+  are sampled once, not stacked on it; the potential on the shared default
+  lattice is computed once per potential.
 
-A single prior's value is its sweep row bit for bit, except on that LP,
-which agrees with the hull to LP accuracy.
+A single prior's value is its one-row sweep bit for bit on every route; on
+three or more states the walk and the hull agree to rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import shannon
 from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
-from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_lp
+from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_walk
 from .experiments import induced_posterior_distribution
 from .simplex import Belief, PosteriorDistribution, _frozen_array, default_resolution
 from .simplex import degenerate, simplex_grid_array
@@ -72,11 +72,6 @@ def _lattice_potential(potential, n: int) -> np.ndarray:
     return _frozen_array(potential.batch(simplex_grid_array(n)))
 
 
-def _envelope(grid: np.ndarray, g: np.ndarray) -> Envelope1d | SimplexEnvelope:
-    """Envelope of the samples g on the rows of grid."""
-    return Envelope1d(grid[:, 0], g) if grid.shape[1] == 2 else SimplexEnvelope(grid, g)
-
-
 def informed_value(
     model: CostModel,
     game: DecisionProblem,
@@ -107,7 +102,9 @@ def informed_value(
         plan = _prune_plan(*shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0]), mu)
     else:
         grid, g, kc = _objective(model, game, mu.probs[None, :], resolution)
-        env, plan = concavify_lp(grid, g, mu) if mu.n >= 4 else _envelope(grid, g).split(mu)
+        env, plan = (
+            Envelope1d(grid[:, 0], g).split(mu) if mu.n == 2 else concavify_walk(grid, g, mu)
+        )
         value = float(env + kc[-1])
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
@@ -155,5 +152,10 @@ def informed_value_sweep(
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
     grid, g, kc = _objective(model, game, priors, resolution)
-    values = _envelope(grid, g).values(priors[:, 0] if n == 2 else priors)
+    if n == 2:
+        values = Envelope1d(grid[:, 0], g).values(priors[:, 0])
+    elif len(priors) == 1:
+        values = np.array([concavify_walk(grid, g, Belief(priors[0]))[0]])
+    else:
+        values = SimplexEnvelope(grid, g).values(priors)
     return values + kc[len(grid) - len(priors) :]

@@ -2,8 +2,8 @@
 
 Deliberately naive: exhaustive pair search and a textbook zero-sum LP.  These
 share no code with the fast paths they validate and run only in tests and the
-acceptance suite; ``uninformed_maximin`` keeps ``lp_maximin`` only for games of
-three or more actions whose fine matrix is not diagonal, and none ships.
+acceptance suite, as does ``envelopes.concavify_lp``; no production path
+solves an LP.
 """
 
 from __future__ import annotations

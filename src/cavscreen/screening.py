@@ -35,7 +35,7 @@ from .errors import (
 )
 from .experiments import upsilon_batch
 from .informed import informed_value_sweep
-from .oracle import MaximinSolution, lp_maximin
+from .oracle import MaximinSolution
 from .simplex import (
     COORD_TOL,
     SUM_TOL,
@@ -65,14 +65,15 @@ def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinSo
     yields u - 1/sum_i(1/d_i), which is exactly u - d/n under a common fine.
     Two actions pay u less the upper envelope of n fine lines in sigma, the
     weight on the first, lowest at sigma 0 or 1 or where a falling line meets
-    a rising one (the urn: u - d/2 at (1/2, 1/2)).  Any other game solves the
-    zero-sum LP.  Returns the value and the mixture.
+    a rising one (the urn: u - d/2 at (1/2, 1/2)).  No other game is built,
+    and one raises ValueError.  Returns the value and the mixture.
     """
     F = game.fines(game.states(n))
     fines = np.diag(F)
     if not np.array_equal(F, np.diag(fines)):
         if len(F) != 2:
-            return lp_maximin(game.u - F)
+            shape = f"{F.shape[0]} actions x {F.shape[1]} states"
+            raise ValueError(f"no closed-form maximin for a non-diagonal game of {shape}")
         lo, slope = F[1], F[0] - F[1]
         rise, fall = slope > 0.0, slope < 0.0
         cross = (lo[fall] - lo[rise][:, None]) / (slope[rise][:, None] - slope[fall])

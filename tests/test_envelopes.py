@@ -1,4 +1,4 @@
-"""Upper concave envelopes: 1-D hull, simplex LP, and batch facets."""
+"""Upper concave envelopes: 1-D hull, simplex LP and walk, and batch facets."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,11 @@ from scipy.special import xlogy
 
 from cavscreen import (
     Belief,
+    CavscreenError,
     Contract,
     Envelope1d,
     InfeasibleBarycenter,
+    NotCertified,
     SimpleAnnouncement,
     SimplexEnvelope,
     UrnDraw,
@@ -20,8 +22,9 @@ from cavscreen import (
     simplex_grid_array,
     uniform_belief,
 )
+from cavscreen import envelopes
 from cavscreen.costs import neg_entropy, quadratic
-from cavscreen.envelopes import _CONTACT_TOL, _WEIGHT_TOL, _contact
+from cavscreen.envelopes import _CONTACT_TOL, _WEIGHT_TOL, _contact, concavify_walk
 from helpers import barycenter, facet_minimum, scan_hull
 
 EPS = np.finfo(float).eps
@@ -236,7 +239,7 @@ class TestConcavifyLp:
         env = SimplexEnvelope(grid, fs)
         for q in rng.dirichlet(np.ones(4), size=6):
             value, plan = concavify_lp(grid, fs, Belief(q))
-            assert value == pytest.approx(env.value(Belief(q)), abs=1e-9)
+            assert value == pytest.approx(env.values([q])[0], abs=1e-9)
             assert len(plan) <= 4
             np.testing.assert_allclose(barycenter(plan).probs, q, atol=1e-12)
             rows = [int(np.abs(grid - b.probs).max(axis=1).argmin()) for b in plan.support]
@@ -382,7 +385,45 @@ class TestSimplexEnvelope:
         env = SimplexEnvelope(grid, fs)
         np.testing.assert_array_less(fs - 1e-9, env.values(grid))
 
-    def test_split_matches_lp_and_attains_its_value(self):
+    def test_values_outside_the_grid_hull(self):
+        grid = simplex_grid_array(3, 10)
+        inner = grid[grid.min(axis=1) >= 0.2]
+        env = SimplexEnvelope(inner, np.zeros(len(inner)))
+        # No facet lies near the query: values returns, undefined there.
+        assert env.values([[1.0, 0.0, 0.0]]).shape == (1,)
+
+
+def _check_walk(grid, fs, q, tol):
+    """The walk at q against the LP on the same samples, within tol of the
+    larger of 1 and |value|, with its plan: at most n points,
+    Bayes-plausible, and attaining the value."""
+    mu = Belief(q)
+    value, plan = concavify_walk(grid, fs, mu)
+    want, _ = concavify_lp(grid, fs, mu)
+    assert abs(value - want) <= tol * max(1.0, abs(want)), (q, value, want)
+    assert len(plan) <= mu.n
+    np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
+    rows = [int(np.abs(grid - b.probs).max(axis=1).argmin()) for b in plan.support]
+    assert abs(float(plan.weights @ fs[rows]) - value) <= tol * max(1.0, abs(value))
+    return value, plan
+
+
+def _face_priors(n, resolution):
+    """Each vertex, edge priors on and off the lattice, priors with one zero
+    coordinate on and off it, and interior lattice points."""
+    corners = np.eye(n)
+    edges = [t * corners[0] + (1.0 - t) * corners[k] for k in range(1, n) for t in (0.5, 0.3137)]
+    faces = []
+    for k in range(n):
+        for inner in (np.full(n - 1, 1.0 / (n - 1)), np.arange(1.0, n) / (n * (n - 1) / 2.0)):
+            faces.append(np.insert(inner, k, 0.0))
+    lattice = simplex_grid_array(n, resolution)
+    interior = lattice[lattice.min(axis=1) > 0.0][:: max(1, (resolution - n) // 2)]
+    return np.vstack([corners, edges, faces, interior])
+
+
+class TestConcavifyWalk:
+    def test_matches_lp_and_attains_its_value(self):
         rng = np.random.default_rng(48)
         grid = simplex_grid_array(3, 12)
         on_grid = grid[rng.choice(len(grid), size=6, replace=False)]
@@ -392,25 +433,65 @@ class TestSimplexEnvelope:
         random_fs = rng.uniform(-1.0, 1.0, size=len(grid))
         affine_fs = grid @ np.array([0.3, -1.2, 0.7]) + 0.1
         for fs in (random_fs, affine_fs):
-            env = SimplexEnvelope(grid, fs)
             for q in queries:
-                value, plan = env.split(Belief(q))
-                want, _ = concavify_lp(grid, fs, Belief(q))
-                assert abs(value - want) <= 1e-12
-                assert len(plan) <= 3
-                np.testing.assert_allclose(barycenter(plan).probs, q, atol=1e-12)
-                rows = [int(np.abs(grid - b.probs).max(axis=1).argmin()) for b in plan.support]
-                assert float(plan.weights @ fs[rows]) == pytest.approx(value, abs=1e-12)
+                _check_walk(grid, fs, q, 1e-12)
             # An affine objective is its own envelope: grid priors stay put.
             if fs is affine_fs:
                 for q in on_grid:
-                    assert env.split(Belief(q))[1].is_degenerate()
+                    assert concavify_walk(grid, fs, Belief(q))[1].is_degenerate()
 
-    def test_split_outside_the_grid_hull(self):
+    @pytest.mark.parametrize(
+        "game, kappa",
+        [(SimpleAnnouncement(Contract(0.3, 1.0)), 1e3), (UrnDraw(Contract(0.03, 0.1)), 0.3)],
+        ids=["rule-out-kappa-1e3", "urn-kappa-0.3"],
+    )
+    def test_strongly_curved_objectives(self, game, kappa):
+        """Objectives under which nearly every lattice point is a hull vertex,
+        on the default n = 3 lattice stacked with the prior, as informed
+        values sample them."""
+        rng = np.random.default_rng(61)
+        objective = _net(game, kappa, neg_entropy())
+        for q in np.vstack([uniform_belief(3).probs, rng.dirichlet(np.ones(3), size=3)]):
+            grid = np.vstack([simplex_grid_array(3), q])
+            fs = objective(grid)
+            _check_walk(grid, fs, q, 1e-12)
+
+    @pytest.mark.parametrize("stall", [None, 0], ids=["dantzig", "bland"])
+    @pytest.mark.parametrize("n, resolution", [(3, 12), (4, 8), (5, 6)])
+    def test_degenerate_priors_match_the_lp(self, monkeypatch, n, resolution, stall):
+        """Priors on vertices, edges, faces and lattice points, where the
+        start and many pivots have zero length.  With a stall budget of 0,
+        every zero-length pivot takes Bland's rule."""
+        if stall is not None:
+            monkeypatch.setattr(envelopes, "_STALL_PIVOTS", stall)
+        rng = np.random.default_rng(62 + n)
+        grid = simplex_grid_array(n, resolution)
+        objectives = (
+            rng.uniform(-1.0, 1.0, size=len(grid)),
+            _net(SimpleAnnouncement(Contract(0.3, 1.0)), 0.5, quadratic())(grid),
+            _net(SimpleAnnouncement(Contract(0.3, 1.0)), 0.3, neg_entropy())(grid),
+        )
+        for fs in objectives:
+            for q in _face_priors(n, resolution):
+                _check_walk(grid, fs, q, 1e-12)
+
+    def test_pivot_cap_raises_instead_of_hanging(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        grid = simplex_grid_array(3, 20)
+        fs = rng.uniform(-1.0, 1.0, size=len(grid))
+        mu = uniform_belief(3)
+        concavify_walk(grid, fs, mu)
+        monkeypatch.setattr(envelopes, "_MAX_PIVOTS", 2)
+        with pytest.raises(NotCertified, match="over 2 pivots"):
+            concavify_walk(grid, fs, mu)
+        assert issubclass(NotCertified, CavscreenError)
+
+    def test_samples_must_hold_the_face_vertices(self):
         grid = simplex_grid_array(3, 10)
         inner = grid[grid.min(axis=1) >= 0.2]
-        env = SimplexEnvelope(inner, np.zeros(len(inner)))
-        # No facet lies near the query: values returns, undefined there.
-        assert env.values([[1.0, 0.0, 0.0]]).shape == (1,)
-        with pytest.raises(InfeasibleBarycenter):
-            env.split(Belief([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="unit vertices"):
+            concavify_walk(inner, np.zeros(len(inner)), uniform_belief(3))
+        # On an edge only that edge's two vertices are needed.
+        edge = grid[grid[:, 2] == 0.0]
+        value, plan = concavify_walk(edge, -np.abs(edge[:, 0] - 0.5), Belief([0.5, 0.5, 0.0]))
+        assert value == 0.0 and plan.is_degenerate()

@@ -22,6 +22,7 @@ from cavscreen import (
     uniform_belief,
 )
 from cavscreen import envelopes, informed
+from cavscreen.envelopes import concavify_lp, concavify_walk
 from cavscreen.acceptance import worked_contract, worked_menu
 from helpers import barycenter
 
@@ -217,8 +218,7 @@ class TestLpPoints:
         model, game = THREE_STATE_GAMES["quadratic"]
         mu = Belief(probs)
         res = informed_value(model, game, mu, resolution=8)
-        want = informed_value_sweep(model, game, mu.probs[None], resolution=8)[0]
-        assert abs(res.value - want) <= 1e-9 * (1.0 + abs(want))
+        assert res.value == informed_value_sweep(model, game, mu.probs[None], resolution=8)[0]
         plan = res.plan
         assert len(plan) <= mu.n
         np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
@@ -226,21 +226,55 @@ class TestLpPoints:
         assert abs(achieved - res.value) <= 1e-9 * (1.0 + abs(res.value))
 
 
-class TestRoutes:
-    def test_only_four_or_more_states_reach_the_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("the concavification LP was called")
+class TestWalkParity:
+    """The walk against the envelope the sweep of many priors builds, and
+    against the LP, on the samples a single prior's value is priced on."""
 
-        monkeypatch.setattr(envelopes, "linprog", no_lp)
-        model = PosteriorSeparable(0.05, neg_entropy())
-        mu = Belief((0.2, 0.3, 0.5))
-        for game in (SimpleAnnouncement(Contract(0.3, 1.0)), UrnDraw(Contract(0.03, 0.1))):
-            assert not informed_value(model, game, mu).plan.is_degenerate()
-        with pytest.raises(AssertionError, match="LP was called"):
-            informed_value(
-                PosteriorSeparable(0.5, quadratic()), SimpleAnnouncement(Contract(0.3, 1.0)),
-                Belief((0.1, 0.2, 0.3, 0.4)), resolution=8,
-            )
+    @pytest.mark.parametrize(
+        "name, probs, resolution",
+        [(name, probs, 40) for name in THREE_STATE_GAMES for probs in THREE_STATE_PRIORS]
+        + [(name, probs, 40) for name in TWO_STATE_GAMES for probs in TWO_STATE_PRIORS]
+        + [("quadratic", probs, 8) for probs in LP_PRIORS],
+    )
+    def test_walk_matches_the_hull_and_the_lp(self, name, probs, resolution):
+        model, game = POINT_GAMES[name]
+        mu = Belief(probs)
+        grid, g, _ = informed._objective(model, game, mu.probs[None], resolution)
+        walked, _ = concavify_walk(grid, g, mu)
+        if mu.n == 2:
+            hull = envelopes.Envelope1d(grid[:, 0], g).values(mu.probs[:1])[0]
+        else:
+            hull = envelopes.SimplexEnvelope(grid, g).values(mu.probs[None])[0]
+        for want in (hull, concavify_lp(grid, g, mu)[0]):
+            assert abs(walked - want) <= 1e-12 * (1.0 + abs(want))
+
+
+class TestRoutes:
+    def test_no_single_prior_reaches_the_lp_or_the_hull(self, monkeypatch):
+        """Single priors on three to five states are walked, as points and as
+        one-row sweeps; a sweep of two priors still builds the hull."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the concavification LP or the hull was called")
+
+        monkeypatch.setattr(envelopes, "linprog", refuse)
+        monkeypatch.setattr(informed, "SimplexEnvelope", refuse)
+        entropy = PosteriorSeparable(0.05, neg_entropy())
+        squared = PosteriorSeparable(0.5, quadratic())
+        rule_out = SimpleAnnouncement(Contract(0.3, 1.0))
+        cases = [
+            (entropy, rule_out, (0.2, 0.3, 0.5), None),
+            (entropy, UrnDraw(Contract(0.03, 0.1)), (0.2, 0.3, 0.5), None),
+            (squared, rule_out, (0.2, 0.3, 0.5), 40),
+            (squared, rule_out, (0.1, 0.2, 0.3, 0.4), 8),
+            (squared, rule_out, (0.11, 0.23, 0.19, 0.3, 0.17), 8),
+        ]
+        for model, game, probs, resolution in cases:
+            mu = Belief(probs)
+            assert not informed_value(model, game, mu, resolution).plan.is_degenerate()
+            informed_value_sweep(model, game, mu.probs[None], resolution)
+        with pytest.raises(AssertionError, match="LP or the hull was called"):
+            informed_value_sweep(squared, rule_out, simplex_grid_array(3, 8)[:2], resolution=8)
 
 
 class TestDefaults:

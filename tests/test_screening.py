@@ -38,7 +38,7 @@ from cavscreen import (
     xi_screen_search,
 )
 import cavscreen.cli as cli
-from cavscreen import screening, shannon, simplex
+from cavscreen import envelopes, oracle, screening, shannon, simplex
 from cavscreen.acceptance import worked_contract, worked_menu
 from cavscreen.screening import ScreeningReport
 from helpers import assert_same_bits, dirichlet_minima, fold_stacks, rejection_measure_mc
@@ -163,10 +163,11 @@ class TestTwoActionMaximin:
             assert got.strategy.tolist() == [0.5, 0.5]
 
     def test_no_urn_verdict_solves_the_lp(self, monkeypatch, capsys):
-        def refuse(payoffs):
-            raise AssertionError("lp_maximin called")
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
 
-        monkeypatch.setattr(screening, "lp_maximin", refuse)
+        monkeypatch.setattr(oracle, "linprog", refuse)
+        monkeypatch.setattr(envelopes, "linprog", refuse)
         model = PosteriorSeparable(0.01, neg_entropy())
         contract = Contract(0.0485, 0.1)
         ball = ball_grid(uniform_belief(3), 0.25, 40)
@@ -174,8 +175,13 @@ class TestTwoActionMaximin:
         assert not screens(model, contract, resolution=20, variant="urn").screens
         assert cli.main(["screen", "--config", "configs/urn_color_calls.yaml"]) == 0
         assert "uninformed (maximin): -0.0015" in capsys.readouterr().out
-        with pytest.raises(AssertionError, match="lp_maximin called"):
+
+    def test_games_beyond_the_closed_forms_are_refused(self):
+        """Three or more calls with a fine matrix that is not diagonal: no
+        constructor builds one, and the maximin names the game's shape."""
+        with pytest.raises(ValueError, match="3 actions x 2 states"):
             uninformed_maximin(two_action_game(np.ones((3, 2))))
+        assert not hasattr(screening, "lp_maximin")
 
 
 class TestSeuUninformed:
