@@ -58,6 +58,25 @@ def worked_contract() -> Contract:
     return Contract(250.0, 600.0)
 
 
+WORKED_MAXIMIN = -50.0
+
+
+def worked_example() -> tuple[list[tuple[float, bool, float, float, float]], float]:
+    """The worked scenario's ten rows (prior, learns, expected informed value,
+    stay-put value, informed value), and its uninformed maximin, expected to be
+    ``WORKED_MAXIMIN``.  Learning nets 50; a prior that stays put keeps
+    u - d min(mu, 1 - mu)."""
+    menu, c = worked_menu(), worked_contract()
+    game = SimpleAnnouncement(c)
+    want = [(mu, True, 50.0) for mu in (0.35, 0.45, 0.5, 0.55, 0.65)]
+    want += [(mu, False, c.u - c.d * min(mu, 1.0 - mu)) for mu in (0.1, 0.25, 1 / 3, 2 / 3, 0.9)]
+    rows = [
+        (mu, learns, value, game.value(belief2(mu)), informed_value(menu, game, belief2(mu)).value)
+        for mu, learns, value in want
+    ]
+    return rows, uninformed_maximin(game, 2).value
+
+
 ALL_CRITERIA: list[Callable[[], CriterionResult]] = []
 
 
@@ -88,23 +107,17 @@ def _criterion(name: str, budget: float):
 
 @_criterion("worked-example-values", budget=1.0)
 def criterion_worked_example() -> tuple[bool, str]:
-    menu = worked_menu()
-    game = SimpleAnnouncement(worked_contract())
-    bad = []
-    for mu in (0.35, 0.45, 0.5, 0.55, 0.65):
-        got = informed_value(menu, game, belief2(mu)).value
-        if abs(got - 50.0) > 1e-9:
-            bad.append(f"learning value at {mu} = {got!r}")
-    for mu in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.9):
-        got = game.value(belief2(mu))
-        if got < 50.0 - 1e-9:
-            bad.append(f"stay-put value at {mu:.4g} = {got!r}")
-    outside = uninformed_maximin(game, 2).value
-    if abs(outside - (-50.0)) > 1e-9:
+    rows, outside = worked_example()
+    bad = [
+        f"informed value at {mu:.4g} = {got!r}, expected {want!r}"
+        for mu, _, want, _, got in rows
+        if abs(got - want) > 1e-9
+    ]
+    if abs(outside - WORKED_MAXIMIN) > 1e-9:
         bad.append(f"uninformed maximin = {outside!r}")
     if bad:
         return False, "; ".join(bad)
-    return True, "learning nets 50, no-learning priors keep >= 50, uninformed -50"
+    return True, "learning nets 50, no-learning priors keep u - d min(mu, 1 - mu), uninformed -50"
 
 
 @_criterion("no-learning-threshold", budget=5.0)

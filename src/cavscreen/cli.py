@@ -40,7 +40,6 @@ from .errors import (
     NoFeasibleU,
     SearchExhausted,
 )
-from .informed import informed_value
 from .screening import (
     UNINFORMED,
     VARIANTS,
@@ -49,10 +48,8 @@ from .screening import (
     prop2_contract,
     rejection_measure,
     screens,
-    uninformed_maximin,
     xi_screen_search,
 )
-from .simplex import belief2
 from .traces import (
     binary_figure_traces,
     figure_table,
@@ -73,32 +70,21 @@ def _load(args) -> dict:
 
 
 def _cmd_example_one(args) -> int:
-    menu = acceptance_mod.worked_menu()
-    contract = acceptance_mod.worked_contract()
-    game = SimpleAnnouncement(contract)
-    # (prior, what the expert does, expected value, note)
-    cases = [(mu, "informed", 50.0, "(learning pays) ") for mu in (0.35, 0.45, 0.5, 0.55, 0.65)]
-    cases += [
-        (mu, "stay-put", contract.u - contract.d * min(mu, 1.0 - mu), "")
-        for mu in (0.1, 0.25, 1.0 / 3.0, 2.0 / 3.0, 0.9)
-    ]
+    rows, outside = acceptance_mod.worked_example()
     ok = True
-    rows = []
-    for mu, label, want, note in cases:
-        got = informed_value(menu, game, belief2(mu)).value
-        rows.append((mu, game.value(belief2(mu)), got))
+    for mu, learns, want, _, got in rows:
         flag = abs(got - want) <= 1e-9
         ok &= flag
         verdict = "ok" if flag else f"MISMATCH: expected {want:g}"
-        print(f"prior {mu:4.2f}: {label} {got:10.4f}  {note}{verdict}")
-    outside = uninformed_maximin(game, 2).value
-    flag = abs(outside - (-50.0)) <= 1e-9
+        label = "informed" if learns else "stay-put"
+        print(f"prior {mu:4.2f}: {label} {got:10.4f}  {'(learning pays) ' if learns else ''}{verdict}")
+    flag = abs(outside - acceptance_mod.WORKED_MAXIMIN) <= 1e-9
     ok &= flag
     print(f"uninformed maximin: {outside:.4f} {'ok' if flag else 'MISMATCH'}")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "example_one.csv")
     write_csv(path, ["prior", "stay_put", "informed"],
-              [",".join(format(v, ".12g") for v in row) for row in rows])
+              [",".join(format(v, ".12g") for v in (mu, stay, got)) for mu, _, _, stay, got in rows])
     print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
