@@ -202,9 +202,9 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
     weights, from the unit vertices of mu's face (which the samples must
     hold) with weights mu; samples off that face are never priced.
 
-    Each pivot prices every sample against the plane through the basis in
-    one product, and the largest reduced cost enters; of the ratio test's
-    ties, the sample whose weight falls fastest leaves.  Past a run of
+    Each pivot inverts the basis once, prices every sample against its plane
+    in one product and lets the largest reduced cost enter; of the ratio
+    test's ties, the sample whose weight falls fastest leaves.  Past a run of
     zero-length pivots, Bland's smallest-index pair is taken until one
     moves, so a degenerate prior cannot cycle.  Returns the optimum and a
     basic optimal plan (at most n points); ties break toward no learning.
@@ -226,8 +226,8 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
     tol = _PRICE_TOL * (1.0 + float(np.abs(gx).max()))
     stalled, reduced = 0, np.empty_like(gx)
     for _ in range(_MAX_PIVOTS):
-        corners = x[basis].T
-        np.matmul(x, np.linalg.solve(corners.T, gx[basis]), out=reduced)
+        inverse = np.linalg.inv(x[basis])
+        np.matmul(x, inverse @ gx[basis], out=reduced)
         np.subtract(gx, reduced, out=reduced)
         enter = int(reduced.argmax())
         if reduced[enter] <= tol:
@@ -235,7 +235,7 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
         bland = stalled >= _STALL_PIVOTS
         if bland:
             enter = int((reduced > tol).argmax())
-        weights, step = np.linalg.solve(corners, np.column_stack([target, x[enter]])).T.tolist()
+        weights, step = (target @ inverse).tolist(), (x[enter] @ inverse).tolist()
         ratios = [
             (w if w > _WEIGHT_TOL else 0.0) / s if s > _WEIGHT_TOL else np.inf
             for w, s in zip(weights, step)
@@ -246,7 +246,7 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
         stalled = stalled + 1 if ratios[leave] == 0.0 else 0
     else:
         raise NotCertified(f"the concavification walk at {mu} took over {_MAX_PIVOTS} pivots")
-    weights = np.linalg.solve(corners, target)
+    weights = target @ inverse
     value = float(weights @ gx[basis])
     if _contact(pts, g, mu.probs, value) is not None:
         return value, degenerate(mu)

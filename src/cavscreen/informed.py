@@ -9,12 +9,12 @@ is the one-row case of a sweep over priors, on one of three routes:
 - menus score each entry against staying put in closed form;
 - the Shannon cost (negative entropy) on four or more states is solved
   exactly and certified by ``shannon.solve``, with no belief grid;
-- every other cost samples the objective on the lattice stacked with the
-  queried priors and takes the concave envelope of those samples, which
-  biases the value low: a 1-D envelope on two states, and on three or more
-  a hull for a sweep of two or more priors but the simplex walk
-  (``concavify_walk``) for a single prior.  Priors equal to the lattice
-  are sampled once, not stacked on it; the potential on the shared default
+- every other cost takes the concave envelope of the objective sampled on
+  the lattice, which biases the value low.  A sweep of two or more priors
+  stacks them on the lattice (unless they are it) and builds a 1-D envelope
+  on two states or a hull on more.  A single prior is priced against the
+  lattice alone, by the 1-D split or the simplex walk (``concavify_walk``),
+  and then against its own sample.  The potential on the shared default
   lattice is computed once per potential.
 
 A single prior's value is its one-row sweep bit for bit on every route; on
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import shannon
 from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
-from .envelopes import Envelope1d, SimplexEnvelope, _prune_plan, concavify_walk
+from .envelopes import _CONTACT_TOL, Envelope1d, SimplexEnvelope, _prune_plan, concavify_walk
 from .experiments import induced_posterior_distribution
 from .simplex import Belief, PosteriorDistribution, _frozen_array, default_resolution
 from .simplex import degenerate, simplex_grid_array
@@ -52,18 +52,34 @@ def _exact(model: CostModel, n: int) -> bool:
 def _objective(
     model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice stacked with the queried priors (or alone when the priors
-    equal it), the objective V - kappa*c sampled on those rows, and kappa*c
-    there."""
+    """The lattice, stacked with the queried priors when there are two or
+    more and they are not the lattice itself, the objective V - kappa*c
+    sampled on those rows, and kappa*c there."""
     n = priors.shape[1]
     grid = simplex_grid_array(n, resolution)
     shared = resolution is None or resolution == default_resolution(n)
     c = _lattice_potential(model.potential, n) if shared else model.potential.batch(grid)
-    if not np.array_equal(priors, grid):
+    if len(priors) > 1 and not np.array_equal(priors, grid):
         grid = np.vstack([grid, priors])
         c = np.concatenate([c, model.potential.batch(priors)])
     kc = model.kappa * c
     return grid, game.batch(grid) - kc, kc
+
+
+def _at_prior(
+    model: PosteriorSeparable, game: DecisionProblem, mu: Belief, resolution: int | None
+) -> tuple[float, PosteriorDistribution]:
+    """Net value at one prior on the grid routes, with a plan: the lattice
+    samples' envelope at mu or mu's own sample g(mu), whichever is larger.
+    That is exact, as a plan weighting mu puts its other mass on lattice
+    points with barycenter mu; if g(mu) reaches the envelope, mu stays put."""
+    grid, g, _ = _objective(model, game, mu.probs[None], resolution)
+    kc = model.kappa * model.potential.batch(mu.probs[None])[0]
+    own = game.batch(mu.probs[None])[0] - kc
+    env, plan = Envelope1d(grid[:, 0], g).split(mu) if mu.n == 2 else concavify_walk(grid, g, mu)
+    if own >= env - _CONTACT_TOL * (1.0 + abs(env)):
+        return float(max(env, own) + kc), degenerate(mu)
+    return float(env + kc), plan
 
 
 @functools.lru_cache(maxsize=8)
@@ -101,11 +117,7 @@ def informed_value(
             return InformedResult(value, degenerate(mu), 0.0)
         plan = _prune_plan(*shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0]), mu)
     else:
-        grid, g, kc = _objective(model, game, mu.probs[None, :], resolution)
-        env, plan = (
-            Envelope1d(grid[:, 0], g).split(mu) if mu.n == 2 else concavify_walk(grid, g, mu)
-        )
-        value = float(env + kc[-1])
+        value, plan = _at_prior(model, game, mu, resolution)
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
         return InformedResult(value, degenerate(mu), 0.0)
@@ -151,11 +163,8 @@ def informed_value_sweep(
     n = priors.shape[1]
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
+    if len(priors) == 1:
+        return np.array([_at_prior(model, game, Belief(priors[0]), resolution)[0]])
     grid, g, kc = _objective(model, game, priors, resolution)
-    if n == 2:
-        values = Envelope1d(grid[:, 0], g).values(priors[:, 0])
-    elif len(priors) == 1:
-        values = np.array([concavify_walk(grid, g, Belief(priors[0]))[0]])
-    else:
-        values = SimplexEnvelope(grid, g).values(priors)
-    return values + kc[len(grid) - len(priors) :]
+    envelope = Envelope1d(grid[:, 0], g) if n == 2 else SimplexEnvelope(grid, g)
+    return envelope.values(priors[:, 0] if n == 2 else priors) + kc[len(grid) - len(priors) :]

@@ -225,8 +225,9 @@ def _lattice_counts(n: int, resolution: int) -> np.ndarray:
 
 def distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Euclidean distance of each row of ``points`` from ``center``."""
-    diff = points - center
-    return np.sqrt((diff * diff).sum(axis=1))
+    sq = np.square(points - center)
+    # numpy sums fewer than 8 columns in order, so below that a fold is the same bits, faster.
+    return np.sqrt(functools.reduce(np.add, sq.T) if sq.shape[1] < 8 else sq.sum(axis=1))
 
 
 def ball_grid(center: Belief, eta: float, resolution: int | None = None) -> np.ndarray:

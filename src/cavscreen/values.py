@@ -47,8 +47,8 @@ class DecisionProblem:
 
     def batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        # Folded over the action columns: numpy reduces a short last axis row by row.
-        return self.u - functools.reduce(np.minimum, (pts @ self.fines(pts.shape[1]).T).T)
+        # One contiguous row per action, folded: numpy reduces a short last axis row by row.
+        return self.u - functools.reduce(np.minimum, self.fines(pts.shape[1]) @ pts.T)
 
 
 def SimpleAnnouncement(contract: Contract) -> DecisionProblem:

@@ -351,3 +351,66 @@ class TestSharedLattice:
         np.testing.assert_array_equal(
             informed._lattice_potential(quadratic(), 3), quadratic().batch(simplex_grid_array(3))
         )
+
+
+class TestSinglePriorRoute:
+    """One prior on the grid routes is priced against the cached lattice
+    alone, then against its own sample g = V - kappa*c."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_cached_lattice_is_concavified_without_a_stacked_copy(self, monkeypatch, n):
+        lattice, seen = simplex_grid_array(n), []
+
+        class Spied(envelopes.Envelope1d):
+            def __init__(self, xs, fs):
+                seen.append((xs.base, len(fs)))
+                super().__init__(xs, fs)
+
+        def walk(points, fs, mu):
+            seen.append((points, len(fs)))
+            return concavify_walk(points, fs, mu)
+
+        monkeypatch.setattr(informed, "Envelope1d", Spied)
+        monkeypatch.setattr(informed, "concavify_walk", walk)
+        model, game = ROUTE_GAMES["neg-entropy-rule-out"]
+        mu = Belief((0.2113, 0.7887) if n == 2 else (0.2113, 0.3359, 0.4528))
+        informed_value(model, game, mu)
+        informed_value_sweep(model, game, mu.probs[None])
+        assert len(seen) == 2
+        for points, samples in seen:
+            assert points is lattice and samples == len(lattice)
+
+    @pytest.mark.parametrize(
+        "name, probs", [("two-state-quadratic", (0.123, 0.877)), ("quadratic", (0.123, 0.0, 0.877))]
+    )
+    def test_own_sample_above_the_lattice_envelope_stays_put(self, name, probs):
+        model, game = POINT_GAMES[name]
+        mu = Belief(probs)
+        grid, g, _ = informed._objective(model, game, mu.probs[None], 40)
+        assert len(grid) == len(simplex_grid_array(mu.n, 40))
+        env = concavify_lp(grid, g, mu)[0]
+        kc = model.kappa * model.potential.batch(mu.probs[None])[0]
+        own = game.batch(mu.probs[None])[0] - kc
+        assert own > env + 1e-6
+        res = informed_value(model, game, mu, resolution=40)
+        assert res.value == own + kc
+        assert res.plan.is_degenerate() and res.cost == 0.0
+
+    @pytest.mark.parametrize(
+        "name, probs",
+        [
+            ("two-state-rule-out", (0.4871, 0.5129)),
+            ("neg-entropy-rule-out", (0.2, 0.3, 0.5)),
+            ("neg-entropy-urn", (0.2113, 0.3359, 0.4528)),
+        ],
+    )
+    def test_learning_plan_is_plausible_and_attains_the_value(self, name, probs):
+        model, game = {**ROUTE_GAMES, **TWO_STATE_GAMES}[name]
+        mu = Belief(probs)
+        res = informed_value(model, game, mu)
+        plan = res.plan
+        assert not plan.is_degenerate() and len(plan) <= mu.n
+        np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
+        achieved = float(plan.weights @ game.batch(plan.support_matrix)) - res.cost
+        assert abs(achieved - res.value) <= 1e-9 * (1.0 + abs(res.value))
+        assert res.value == informed_value_sweep(model, game, mu.probs[None])[0]

@@ -4,10 +4,13 @@
     python3 tools/bench_layers.py parent=.bench_build/parent change=. --rounds 11
 
 Each round runs every LABEL=ROOT checkout in a fresh process (PYTHONPATH=ROOT/src,
-one BLAS thread), alternating which runs first; a process times each row of ``ROWS``
-by ``timeit`` (collector off) as the median of its calls after three warm-up calls.
-Per row and tree the record gives the median and quartiles over rounds in µs, null
-where the tree cannot build or run the row, and the last tree against the first.
+one BLAS thread), alternating which runs first.  A process first allocates and frees
+32 MB, as perfbench's host-speed kernel does, so that glibc keeps freed memory on the
+heap; then it times each row of ``ROWS`` by ``timeit`` (collector off) as the median of
+its calls after three warm-up calls, and counts the minor page faults per timed call.
+Per row and tree the record gives the median and quartiles over rounds in µs, the
+median faults per call, null where the tree cannot build or run the row, and the
+last tree against the first.
 ``--pairs K`` adds, per workload, K rounds of ``perfbench/run.py --seconds 20 --trace
 0``; round k of workload w runs seed ``--seed`` + 100 w + k.  To time a layer, add a row.
 """
@@ -18,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -30,20 +34,31 @@ ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_TH
 # (u, d, kappa, potential) of the rule-out game and of the quadratic game.
 RULE_OUT, QUADRATIC = (0.3, 1.0, 0.3, "neg_entropy"), (0.4, 1.1, 0.5, "quadratic")
 UPSILON = [[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]
-P3, P4, P5 = (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4), (0.11, 0.23, 0.19, 0.3, 0.17)
+# The urn game's (u, d, kappa), as pointwise-plans draws it.
+URN = (0.03, 0.1, 0.01)
+P2, P3, Q3 = (0.3713, 0.6287), (0.2, 0.3, 0.5), (0.2113, 0.3359, 0.4528)
+P4, P5 = (0.1, 0.2, 0.3, 0.4), (0.11, 0.23, 0.19, 0.3, 0.17)
 
 
-def _samples(c, priors, game) -> tuple:
-    """The samples of V - kappa c that the priors (by default the n = 3 lattice)
-    are concavified over: the default lattice, and the priors unless they are it."""
+def _samples(c, n: int, game) -> tuple:
+    """The default lattice of n states and V - kappa c sampled on it, the
+    samples a single prior is concavified over (passing the lattice as the
+    priors keeps them unstacked on every tree)."""
     u, d, kappa, potential = game
     model = c.PosteriorSeparable(kappa, getattr(c, potential)())
-    priors = c.simplex_grid_array(3) if priors is None else np.asarray(priors, dtype=float)
-    return c.informed._objective(model, c.SimpleAnnouncement(c.Contract(u, d)), priors, None)[:2]
+    game = c.SimpleAnnouncement(c.Contract(u, d))
+    return c.informed._objective(model, game, c.simplex_grid_array(n), None)[:2]
 
 
 def _at_prior(name: str, p, game):
-    return lambda c: partial(getattr(c.envelopes, name), *_samples(c, [p], game), c.Belief(p))
+    return lambda c: partial(getattr(c.envelopes, name), *_samples(c, len(p), game), c.Belief(p))
+
+
+def _informed(p, urn: bool = False):
+    """``informed_value`` at one prior: the rule-out game, or the urn."""
+    (u, d, kappa), build = (URN, "UrnDraw") if urn else (RULE_OUT[:3], "SimpleAnnouncement")
+    return lambda c: partial(c.informed_value, c.PosteriorSeparable(kappa, c.neg_entropy()),
+                             getattr(c, build)(c.Contract(u, d)), c.Belief(p))
 
 
 def _shannon(n: int, where):
@@ -88,33 +103,49 @@ ROWS = (
     ("cli figure --format both", 2, 1001, 60,
      lambda c: partial(c.cli.main, ["figure", "--format", "both", "--out", "."])),
     ("cli xi-screen", 2, 100_000, 60, lambda c: partial(c.cli.main, ["xi-screen"])),
-    ("concavify_walk, rule-out kappa 0.3", 3, 20302, 200,
+    ("concavify_walk, rule-out kappa 0.3", 3, 20301, 200,
      _at_prior("concavify_walk", P3, RULE_OUT)),
-    ("concavify_walk, quadratic", 4, 7771, 200, _at_prior("concavify_walk", P4, QUADRATIC)),
-    ("concavify_walk, quadratic", 5, 7316, 200, _at_prior("concavify_walk", P5, QUADRATIC)),
+    ("concavify_walk, quadratic", 4, 7770, 200, _at_prior("concavify_walk", P4, QUADRATIC)),
+    ("concavify_walk, quadratic", 5, 7315, 200, _at_prior("concavify_walk", P5, QUADRATIC)),
     ("SimplexEnvelope build, rule-out kappa 0.3", 3, 20301, 30,
-     lambda c: partial(c.SimplexEnvelope, *_samples(c, None, RULE_OUT))),
+     lambda c: partial(c.SimplexEnvelope, *_samples(c, 3, RULE_OUT))),
     ("SimplexEnvelope.values, rule-out kappa 0.3", 3, 20301, 30, lambda c: partial(
-        c.SimplexEnvelope(*_samples(c, None, RULE_OUT)).values, c.simplex_grid_array(3))),
-    ("concavify_lp, quadratic", 4, 7771, 20, _at_prior("concavify_lp", P4, QUADRATIC)),
+        c.SimplexEnvelope(*_samples(c, 3, RULE_OUT)).values, c.simplex_grid_array(3))),
+    ("concavify_lp, quadratic", 4, 7770, 20, _at_prior("concavify_lp", P4, QUADRATIC)),
+    ("informed_value, one prior, rule-out kappa 0.3", 2, 1, 300, _informed(P2)),
+    ("informed_value, one prior, rule-out kappa 0.3", 3, 1, 200, _informed(Q3)),
+    ("informed_value, one prior, urn kappa 0.01", 3, 1, 200, _informed(Q3, urn=True)),
+    ("informed_value, one prior, Shannon rule-out kappa 0.3", 4, 1, 300, _informed(P4)),
+    ("ball_grid, radius 0.1", 3, 20301, 300,
+     lambda c: partial(c.ball_grid, c.Belief(P3), 0.1)),
 )
 
 
 def worker() -> None:
-    """Print each row's median microseconds per call on the imported tree, or
-    null where it cannot build or run the row: one JSON list on the last line."""
+    """Print each row's median microseconds per call on the imported tree and
+    its minor page faults per timed call, or nulls where it cannot build or
+    run the row: one JSON object of two lists on the last line."""
     import cavscreen.cli
 
-    out = []
+    # Freeing 32 MB raises glibc's mmap threshold, so later frees stay on the
+    # heap and calls do not fault their pages in again: a warm heap, as in perfbench.
+    np.ones(4_000_000)
+    out = {"us": [], "faults": []}
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         for layer, n, _, calls, build in ROWS:
             try:
-                times = timeit.repeat(build(cavscreen), number=1, repeat=3 + calls)[3:]
-                out.append(1e6 * float(np.median(times)))
+                call = build(cavscreen)
+                timeit.repeat(call, number=1, repeat=3)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                times = timeit.repeat(call, number=1, repeat=calls)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                out["us"].append(1e6 * float(np.median(times)))
+                out["faults"].append(faults / calls)
             except Exception as exc:  # a row an older tree lacks leaves the rest timed
                 print(f"{layer}, n = {n}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                out.append(None)
+                out["us"].append(None)
+                out["faults"].append(None)
     print(json.dumps(out))
 
 
@@ -153,8 +184,16 @@ def layers(trees, count: int) -> list:
         return json.loads(done.stdout.splitlines()[-1])
 
     runs = alternate(trees, count, run)
-    return [{"layer": layer, "n": n, "rows": rows, "calls_per_process": calls, **compare(runs, k)}
-            for k, (layer, n, rows, calls, _) in enumerate(ROWS)]
+    us, faults = ({label: [run[key] for run in done] for label, done in runs.items()}
+                  for key in ("us", "faults"))
+    out = []
+    for k, (layer, n, rows, calls, _) in enumerate(ROWS):
+        row = compare(us, k)
+        for label, per_run in faults.items():
+            if row[label] is not None:  # beside each median: the median faults per call
+                row[label]["faults_per_call"] = float(np.median([run[k] for run in per_run]))
+        out.append({"layer": layer, "n": n, "rows": rows, "calls_per_process": calls, **row})
+    return out
 
 
 def pairs(trees, workload: str, count: int, seed: int) -> dict:
