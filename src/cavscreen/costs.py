@@ -92,14 +92,10 @@ CostModel = FixedMenu | PosteriorSeparable
 
 def distribution_cost(model: PosteriorSeparable, F: PosteriorDistribution) -> float:
     """Gamma(F) = kappa * sum_j w_j c(x_j) - kappa * c(prior); >= 0 by Jensen."""
-    values = model.potential.batch(F.support_matrix)
-    if not np.isfinite(values).all():
-        raise InfinitePotential(
-            f"potential {model.potential.name!r} is infinite on a support point"
-        )
-    base = model.potential.value(F.prior)
+    values = model.potential.batch(np.vstack([F.support_matrix, F.prior.probs]))
+    base = float(values[-1])
+    if not np.isfinite(values[:-1]).all():
+        raise InfinitePotential(f"potential {model.potential.name!r} is infinite on a support point")
     if not math.isfinite(base):
-        raise InfinitePotential(
-            f"potential {model.potential.name!r} is infinite at the prior"
-        )
-    return model.kappa * float(F.weights @ values) - model.kappa * base
+        raise InfinitePotential(f"potential {model.potential.name!r} is infinite at the prior")
+    return model.kappa * float(F.weights @ values[:-1]) - model.kappa * base

@@ -12,7 +12,8 @@ Three constructions back every grid-priced informed value:
 * ``concavify_walk``: the simplex method on the plan weights at one prior
   on n >= 3 states, with a plan.
 
-Plans hold at most n grid points, and ties go to staying put.
+Plans hold at most n grid points.  ``split`` and the LP break ties toward
+staying put; the walk leaves that to its caller (``informed._at_prior``).
 ``concavify_lp`` solves the same linear program with HiGHS; it only checks
 the other three.
 """
@@ -156,11 +157,8 @@ def _contact(points, fs, query, value) -> int | None:
 
 def _prune_plan(points: np.ndarray, weights: np.ndarray, prior: Belief):
     keep = weights > _WEIGHT_TOL
-    pts = points[keep]
     w = weights[keep]
-    w = w / w.sum()
-    support = [Belief(row) for row in pts]
-    return PosteriorDistribution(support, w, prior)
+    return PosteriorDistribution(points[keep], w / w.sum(), prior)
 
 
 def concavify_lp(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution]:
@@ -207,7 +205,7 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
     test's ties, the sample whose weight falls fastest leaves.  Past a run of
     zero-length pivots, Bland's smallest-index pair is taken until one
     moves, so a degenerate prior cannot cycle.  Returns the optimum and a
-    basic optimal plan (at most n points); ties break toward no learning.
+    basic optimal plan (at most n points); the caller settles ties to staying put.
     """
     pts, g = np.asarray(points, dtype=float), np.asarray(fs, dtype=float)
     if pts.shape != (g.size, mu.n):
@@ -247,10 +245,7 @@ def concavify_walk(points, fs, mu: Belief) -> tuple[float, PosteriorDistribution
     else:
         raise NotCertified(f"the concavification walk at {mu} took over {_MAX_PIVOTS} pivots")
     weights = target @ inverse
-    value = float(weights @ gx[basis])
-    if _contact(pts, g, mu.probs, value) is not None:
-        return value, degenerate(mu)
-    return value, _prune_plan(pts[on][basis], weights, mu)
+    return float(weights @ gx[basis]), _prune_plan(pts[on][basis], weights, mu)
 
 
 class SimplexEnvelope:

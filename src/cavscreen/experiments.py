@@ -81,13 +81,9 @@ def induced_posterior_distribution(E: Experiment, mu: Belief) -> PosteriorDistri
     """Distribution over posteriors generated by E at mu; zero-probability
     signals are dropped."""
     marg = _signal_marginal(E, mu)
-    support = []
-    weights = []
-    for s in range(E.m):
-        if marg[s] > 0.0:
-            support.append(Belief(mu.probs * E.likelihoods[:, s] / marg[s]))
-            weights.append(float(marg[s]))
-    return PosteriorDistribution(support, np.array(weights), mu)
+    live = marg > 0.0
+    rows = mu.probs * E.likelihoods[:, live].T / marg[live, None]
+    return PosteriorDistribution(rows, marg[live], mu)
 
 
 def upsilon_batch(E: Experiment, priors) -> np.ndarray:

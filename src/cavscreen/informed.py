@@ -14,8 +14,8 @@ is the one-row case of a sweep over priors, on one of three routes:
   stacks them on the lattice (unless they are it) and builds a 1-D envelope
   on two states or a hull on more.  A single prior is priced against the
   lattice alone, by the 1-D split or the simplex walk (``concavify_walk``),
-  and then against its own sample.  The potential on the shared default
-  lattice is computed once per potential.
+  and then against its own sample, which decides staying put.  The
+  potential on the shared default lattice is computed once per potential.
 
 A single prior's value is its one-row sweep bit for bit on every route; on
 three or more states the walk and the hull agree to rounding.

@@ -15,10 +15,10 @@ bound: it must be at most ``_GAP * (1 + max |P|)``, plus an allowance for
 rounding.
 
 Rule-out games are solved in closed form.  There A = n and, with each
-state's payoffs shifted by their maximum, E is all ones off the diagonal
-(P = u - diag(d), one fine or one per state), so (E^T p)_i = 1 - beta_i p_i
-with beta_i = 1 - exp(-d_i / kappa) and the program is separable up to
-sum p = 1.  Its KKT conditions give, for a multiplier lambda,
+state's payoffs shifted by their maximum, E is all ones off the diagonal and
+1 - beta_i on it (P = u - diag(d), one fine or one per state), with
+beta_i = 1 - exp(-d_i / kappa), so (E^T p)_i = 1 - beta_i p_i and the program
+is separable up to sum p = 1.  Its KKT conditions give, for a multiplier lambda,
 
     p_i = max(0, 1 / beta_i - mu_i / lambda),   (E^T p)_i = min(1, mu_i beta_i / lambda),
 
@@ -30,11 +30,13 @@ states sorted by mu_i beta_i.  On the prefix of length m, sum p = 1 gives
 and the condition mu_m beta_m < lambda_m holds for every m up to the
 active count and for none beyond it, so the prefix is the longest one that
 meets it: a water-fill, the shape of a Euclidean projection onto the
-simplex (Duchi et al. 2008).  The least of these values over every prior
-is closed-form too (``rule_out_minimum``).  Every other game, and every
-closed-form row whose certificate fails to rounding, goes to a log-barrier
-Newton method on p over the stack of remaining priors, which stops each
-prior once its bound holds.  A prior it cannot certify raises.
+simplex (Duchi et al. 2008).  The pass works on beta alone: s_i = 1 - beta_i p_i
+and the certificate c_a = sum_i mu_i / s_i - beta_a mu_a / s_a are closed-form.
+The least of these values over every prior is closed-form too
+(``rule_out_minimum``).  Every other game, and every closed-form row whose
+certificate fails to rounding, goes to a log-barrier Newton method on p over
+the stack of remaining priors, the only rows for which E is built; it stops
+each prior once its bound holds.  A prior it cannot certify raises.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _mix(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     a row rounds the same in a batch of any size (a BLAS product may not)."""
     out = x[:, :1] * M[0]
     for k in range(1, M.shape[0]):
-        out = out + x[:, k : k + 1] * M[k]
+        out += x[:, k : k + 1] * M[k]
     return out
 
 
@@ -90,30 +92,29 @@ def _barrier(E, mu, p, t) -> tuple[np.ndarray, np.ndarray]:
     return s, (mu * np.log(s)).sum(axis=1) + t * np.log(p).sum(axis=1)
 
 
-def _water_fill(P, E, kappa: float, mu: np.ndarray, tol: float):
+def _water_fill(top, beta, kappa: float, mu: np.ndarray, tol: float):
     """Closed-form values and action weights of a rule-out game at each
     prior row, with a mask of the rows whose certificate holds."""
-    top = P.max(axis=0)
-    beta = -np.expm1((np.diag(P) - top) / kappa)
     # Rows the formula cannot price (a zero in the prefix mass) come out
     # non-finite and fail the certificate.
     with np.errstate(all="ignore"):
         # mu_m beta_m < lambda_m, multiplied through by the prefix's
         # sum 1 / beta - 1 >= 0, on each prefix of the states sorted by
         # mu beta; the active set is the longest prefix that meets it.
-        a = mu * beta
+        a, spread = mu * beta, 1.0 / beta
         order = np.argsort(a, axis=1)
         rows = np.arange(len(mu))[:, None]
         mass = np.cumsum(mu[rows, order], axis=1)
-        excess = np.cumsum(1.0 / beta[order], axis=1) - 1.0
+        excess = np.cumsum(spread[order], axis=1) - 1.0
         meets = mass > a[rows, order] * excess
         last = np.maximum(meets.sum(axis=1), 1) - 1
         # 1 / lambda for the active prefix.
-        inv = excess[rows[:, 0], last] / mass[rows[:, 0], last]
-        p = np.maximum(0.0, 1.0 / beta - mu * inv[:, None])
+        inv = (excess / mass)[rows[:, 0], last]
+        p = np.maximum(0.0, spread - mu * inv[:, None])
         p /= p.sum(axis=1, keepdims=True)
-        s = _mix(p, E)
-        c = _mix(mu / s, E.T)
+        s = 1.0 - beta * p
+        ratio = mu / s
+        c = ratio.sum(axis=1, keepdims=True) - beta * ratio
         values = ((top + kappa * np.log(s)) * mu).sum(axis=1)
         certified = functools.reduce(np.maximum, c.T) - 1.0 <= tol
     return values, p, certified
@@ -214,15 +215,15 @@ def solve(P, kappa: float, priors) -> ShannonSolution:
     here = np.arange(B), announce
     # Shift each state's payoffs by their maximum so E stays in (0, 1].
     top = P.max(axis=0)
-    E = np.exp((P - top) / kappa)
     # Staying put is certified when every action's slope at the announce
     # action's unit weight, sum_i mu_i exp((P_ai - P_a*i) / kappa), is <= 1.  In a
     # rule-out game (P = top exactly off the diagonal, below it on it) a differs
     # from a* in states a and a* alone, so the steepest a has the least mu_a beta_a.
     rule_out = A == P.shape[1] and ((P == top) != np.eye(A, dtype=bool)).all()
     if rule_out:
-        rise = np.expm1(np.minimum((top - np.diag(P)) / kappa, 700.0))
-        drop = priors * -np.expm1((np.diag(P) - top) / kappa)
+        x = (np.diag(P) - top) / kappa
+        beta, rise = -np.expm1(x), np.expm1(np.minimum(-x, 700.0))
+        drop = priors * beta
         drop[here] = np.inf
         stay = priors[here] * rise[announce] - functools.reduce(np.minimum, drop.T) <= tol
     else:
@@ -233,11 +234,11 @@ def solve(P, kappa: float, priors) -> ShannonSolution:
     steps = np.zeros(B, dtype=int)
     rows = np.flatnonzero(~stay)
     if rule_out and len(rows):
-        closed, p, certified = _water_fill(P, E, kappa, priors[rows], tol)
-        values[rows[certified]] = closed[certified]
-        weights[rows[certified]] = p[certified]
-        rows = rows[~certified]
+        closed, p, certified = _water_fill(top, beta, kappa, priors[rows], tol)
+        hit = rows[certified]
+        values[hit], weights[hit], rows = closed[certified], p[certified], rows[~certified]
     if len(rows):
+        E = np.exp((P - top) / kappa)
         values[rows], weights[rows], steps[rows] = _newton(E, top, kappa, priors[rows], tol)
     return ShannonSolution(values, weights, stay, steps)
 

@@ -119,6 +119,12 @@ class PosteriorDistribution:
     prior: Belief
 
     def __init__(self, support, weights, prior: Belief):
+        """``support``: Beliefs, or a (k, n) array whose rows get Belief's checks at once."""
+        rows = _frozen_array(support) if isinstance(support, np.ndarray) else None
+        if rows is not None:
+            support = [object.__new__(Belief) for _ in rows]
+            for b, row in zip(support, rows):
+                object.__setattr__(b, "probs", row)
         support = tuple(support)
         if not support:
             raise EmptySupport("posterior distribution needs a nonempty support")
@@ -129,12 +135,15 @@ class PosteriorDistribution:
             raise ValueError(f"negative weight {w.min()!r}")
         if abs(float(w.sum()) - 1.0) > SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        n = prior.n
-        mean = np.zeros(n)
-        for b, wj in zip(support, w):
-            if b.n != n:
-                raise DimensionMismatch("support point dimension differs from prior")
-            mean += wj * b.probs
+        if any(b.n != prior.n for b in support):
+            raise DimensionMismatch("support point dimension differs from prior")
+        if rows is None:
+            rows = _frozen_array([b.probs for b in support])
+        elif rows.min() < -COORD_TOL:
+            raise ValueError(f"negative probability {rows.min()!r} in belief")
+        elif (far := np.abs(rows.sum(axis=1) - 1.0) > SUM_TOL).any():
+            raise ValueError(f"belief coordinates sum to {float(rows[far][0].sum())!r}, not 1")
+        mean = w @ rows
         if np.abs(mean - prior.probs).max() > SUM_TOL:
             raise ValueError(
                 f"not Bayes-plausible: mean posterior {mean} != prior {prior.probs}"
@@ -142,10 +151,11 @@ class PosteriorDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def support_matrix(self) -> np.ndarray:
-        return np.vstack([b.probs for b in self.support])
+        return self._rows
 
     def is_degenerate(self) -> bool:
         """True when all mass sits on a single posterior equal to the prior."""
@@ -157,8 +167,10 @@ class PosteriorDistribution:
 
 
 def degenerate(prior: Belief) -> PosteriorDistribution:
-    """The no-learning plan: all mass on the prior itself."""
-    return PosteriorDistribution((prior,), np.array([1.0]), prior)
+    """The no-learning plan: all mass on the prior itself, valid by construction."""
+    plan, one = object.__new__(PosteriorDistribution), _frozen_array([1.0])
+    plan.__dict__.update(support=(prior,), weights=one, prior=prior, _rows=prior.probs[None])
+    return plan
 
 
 def default_resolution(n: int) -> int:

@@ -8,7 +8,9 @@ from cavscreen import (
     UrnDraw,
     quadratic,
     Contract,
+    DecisionProblem,
     FixedMenu,
+    Potential,
     PosteriorSeparable,
     SimpleAnnouncement,
     belief2,
@@ -395,6 +397,18 @@ class TestSinglePriorRoute:
         res = informed_value(model, game, mu, resolution=40)
         assert res.value == own + kc
         assert res.plan.is_degenerate() and res.cost == 0.0
+
+    def test_lattice_priors_of_an_affine_objective_stay_put(self):
+        """An affine objective is its own envelope, so lattice priors stay
+        put; the walk leaves that decision to the prior's own sample."""
+        rng = np.random.default_rng(48)
+        grid = simplex_grid_array(3, 12)
+        on_grid = grid[rng.choice(len(grid), size=6, replace=False)]
+        # V - kappa*c = x @ (0.3, -1.2, 0.7) + 0.1, a single action under a zero potential.
+        game = DecisionProblem(0.1, lambda n: np.array([[-0.3, 1.2, -0.7]]))
+        model = PosteriorSeparable(1.0, Potential("zero", lambda pts: np.zeros(len(pts))))
+        for q in on_grid:
+            assert informed_value(model, game, Belief(q), resolution=12).plan.is_degenerate()
 
     @pytest.mark.parametrize(
         "name, probs",

@@ -116,8 +116,8 @@ def test_certificate_holds(n, kind, kappa):
 
 def newton_only(monkeypatch):
     """Make the closed form certify no row, so every row goes to Newton."""
-    def nothing(P, E, kappa, mu, tol):
-        return np.zeros(len(mu)), np.zeros((len(mu), P.shape[0])), np.zeros(len(mu), dtype=bool)
+    def nothing(top, beta, kappa, mu, tol):
+        return np.zeros(len(mu)), np.zeros((len(mu), len(beta))), np.zeros(len(mu), dtype=bool)
 
     monkeypatch.setattr(shannon, "_water_fill", nothing)
 
@@ -160,8 +160,9 @@ def test_rule_out_stay_test_matches_the_tensor_oracle(n, kind):
         # The water-fill would not certify every stay row (those on faces
         # fail its certificate), so the stay test must come first.
         tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
-        E = np.exp((P - P.max(axis=0)) / kappa)
-        uncertified += (~shannon._water_fill(P, E, kappa, mu[stay], tol)[2]).sum()
+        top = P.max(axis=0)
+        beta = -np.expm1((np.diag(P) - top) / kappa)
+        uncertified += (~shannon._water_fill(top, beta, kappa, mu[stay], tol)[2]).sum()
     assert uncertified > 0
 
 
@@ -290,3 +291,23 @@ def test_rule_out_minimum_stays_finite_at_extremes(kappa, fines):
     assert worst.min() >= 0.0 and worst.sum() == pytest.approx(1.0, abs=1e-15)
     # Learning never hurts, and the uninformed maximin is a floor for it.
     assert -1.0 / np.sum(1.0 / fines) * (1.0 + 1e-12) <= shortfall <= 0.0
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+@pytest.mark.parametrize("kind", ("common", "per-state"))
+def test_point_is_its_one_row_sweep_with_a_plan_that_attains_it(n, kind):
+    """Interior, face and vertex priors of rule-out games, priced as points."""
+    model = PosteriorSeparable(0.3, neg_entropy())
+    fines = rule_out_fines(n, kind)
+    game = SimpleAnnouncement(Contract(0.2, 1.0 if kind == "common" else fines))
+    rng = np.random.default_rng(60 + n)
+    face = np.column_stack([rng.dirichlet(np.ones(n - 1), size=3), np.zeros(3)])
+    mu = np.vstack([rng.dirichlet(np.ones(n), size=4), face, np.eye(n)[[0, n - 1]]])
+    for row in mu:
+        res = informed_value(model, game, Belief(row))
+        assert res.value == informed_value_sweep(model, game, row[None])[0]
+        w, X = np.asarray(res.plan.weights), res.plan.support_matrix
+        assert np.abs(w @ X - row).max() <= 1e-12
+        achieved = float(w @ game.batch(X)) - res.cost
+        assert abs(achieved - res.value) <= 1e-12 * (1.0 + abs(res.value))
+        assert res.cost == distribution_cost(model, res.plan)

@@ -137,6 +137,25 @@ class TestBarycenter:
                 prior=belief2(0.7),
             )
 
+    def test_stacked_rows_get_the_belief_checks(self):
+        rows = np.array([[0.25, 0.75], [1.0, 0.0]])
+        F = PosteriorDistribution(rows, [2.0 / 3.0, 1.0 / 3.0], belief2(0.5))
+        np.testing.assert_array_equal(F.support_matrix, rows)
+        assert [b.probs.tolist() for b in F.support] == rows.tolist()
+        assert not F.support_matrix.flags.writeable and not F.support[0].probs.flags.writeable
+        rows[0, 0] = 0.5  # the distribution holds its own copy
+        assert F.support[0][0] == 0.25
+        for bad, error in (
+            ([[-0.1, 1.1], [1.0, 0.0]], "negative probability"),
+            ([[0.25, 0.7], [1.0, 0.0]], "sum to 0.95"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                PosteriorDistribution(np.array(bad), [0.5, 0.5], belief2(0.5))
+        with pytest.raises(DimensionMismatch):
+            PosteriorDistribution(np.array([[0.2, 0.3, 0.5]]), [1.0], belief2(0.5))
+        with pytest.raises(EmptySupport):
+            PosteriorDistribution(np.empty((0, 2)), [], belief2(0.5))
+
     @given(
         st.integers(min_value=2, max_value=5),
         st.integers(min_value=1, max_value=6),

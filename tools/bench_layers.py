@@ -38,6 +38,8 @@ UPSILON = [[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]
 URN = (0.03, 0.1, 0.01)
 P2, P3, Q3 = (0.3713, 0.6287), (0.2, 0.3, 0.5), (0.2113, 0.3359, 0.4528)
 P4, P5 = (0.1, 0.2, 0.3, 0.4), (0.11, 0.23, 0.19, 0.3, 0.17)
+# The belief Proposition-2 fines are equalized against, with d_n = 1.
+RHO4 = (0.22, 0.25, 0.23, 0.3)
 
 
 def _samples(c, n: int, game) -> tuple:
@@ -65,6 +67,24 @@ def _shannon(n: int, where):
     u, d, kappa, _ = RULE_OUT
     return lambda c: partial(c.shannon.solve, u - d * np.eye(n), kappa, np.array([where])
                              if isinstance(where, tuple) else c.simplex_grid_array(n, where))
+
+
+def _prop2(c):
+    """``shannon.solve`` on the r = 24 lattice under Proposition-2 fines, with
+    u and kappa as simplex-sweep's prop2 verdicts at n = 4 draw them."""
+    u, fines = 0.999 * RHO4[-1], RHO4[-1] / np.array(RHO4)
+    return partial(c.shannon.solve, u - np.diag(fines), u / (2.0 * np.log(4)),
+                   c.simplex_grid_array(4, 24))
+
+
+def _plan(c):
+    """The plan ``informed_value`` reads off one n = 4 prior's Shannon weights,
+    pruned and checked, and its learning cost."""
+    u, d, kappa, _ = RULE_OUT
+    P, mu, model = u - d * np.eye(4), c.Belief(P4), c.PosteriorSeparable(kappa, c.neg_entropy())
+    p = c.shannon.solve(P, kappa, mu.probs[None]).weights[0]
+    return lambda: c.distribution_cost(
+        model, c.envelopes._prune_plan(*c.shannon.posteriors(P, kappa, mu.probs, p), mu))
 
 
 def _traces(c):
@@ -95,6 +115,8 @@ ROWS = (
     ("shannon.solve, lattice r = 20", 4, 1771, 200, _shannon(4, 20)),
     ("shannon.solve, lattice r = 24", 4, 2925, 200, _shannon(4, 24)),
     ("shannon.solve, lattice r = 200", 3, 20301, 30, _shannon(3, 200)),
+    ("shannon.solve, lattice r = 24, prop2 fines", 4, 2925, 200, _prop2),
+    ("Shannon plan read-off and its cost, one prior", 4, 1, 2000, _plan),
     ("csv: figure_table + write_csv", 2, 1001, 200,
      lambda c: partial(lambda t: c.write_csv("t.csv", *c.figure_table(t)), _traces(c))),
     ("svg: write_svg", 2, 1001, 200, _svg),
