@@ -80,7 +80,8 @@ class Envelope1d:
         """Envelope value at mu and an optimal plan on at most two grid points:
         mu's weights on the hull vertices on either side of it.
 
-        Ties break toward no learning, as in ``concavify_walk``.
+        Ties break toward no learning here; ``concavify_walk`` leaves them to
+        its caller, ``informed._at_prior``.
         """
         x = mu[0]
         if not self.hull_x[0] <= x <= self.hull_x[-1]:

@@ -30,13 +30,14 @@ states sorted by mu_i beta_i.  On the prefix of length m, sum p = 1 gives
 and the condition mu_m beta_m < lambda_m holds for every m up to the
 active count and for none beyond it, so the prefix is the longest one that
 meets it: a water-fill, the shape of a Euclidean projection onto the
-simplex (Duchi et al. 2008).  The pass works on beta alone: s_i = 1 - beta_i p_i
-and the certificate c_a = sum_i mu_i / s_i - beta_a mu_a / s_a are closed-form.
-The least of these values over every prior is closed-form too
-(``rule_out_minimum``).  Every other game, and every closed-form row whose
-certificate fails to rounding, goes to a log-barrier Newton method on p over
-the stack of remaining priors, the only rows for which E is built; it stops
-each prior once its bound holds.  A prior it cannot certify raises.
+simplex (Duchi et al. 2008).  The fill and its certificate
+c_a = sum_i mu_i / s_i - beta_a mu_a / s_a are priced from beta, but
+s = E^T p is summed term by term, as Newton sums it: 1 - beta_i p_i would
+cancel for a state whose own weight is near 1.  The least of these values
+over every prior is closed-form too (``rule_out_minimum``).  Every other
+game, and every closed-form row whose certificate fails to rounding, goes to
+a log-barrier Newton method on p over the stack of remaining priors, which
+stops each prior once its bound holds.  A prior it cannot certify raises.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _barrier(E, mu, p, t) -> tuple[np.ndarray, np.ndarray]:
     return s, (mu * np.log(s)).sum(axis=1) + t * np.log(p).sum(axis=1)
 
 
-def _water_fill(top, beta, kappa: float, mu: np.ndarray, tol: float):
+def _water_fill(E, top, beta, kappa: float, mu: np.ndarray, tol: float):
     """Closed-form values and action weights of a rule-out game at each
     prior row, with a mask of the rows whose certificate holds."""
     # Rows the formula cannot price (a zero in the prefix mass) come out
@@ -112,7 +113,7 @@ def _water_fill(top, beta, kappa: float, mu: np.ndarray, tol: float):
         inv = (excess / mass)[rows[:, 0], last]
         p = np.maximum(0.0, spread - mu * inv[:, None])
         p /= p.sum(axis=1, keepdims=True)
-        s = 1.0 - beta * p
+        s = _mix(p, E)
         ratio = mu / s
         c = ratio.sum(axis=1, keepdims=True) - beta * ratio
         values = ((top + kappa * np.log(s)) * mu).sum(axis=1)
@@ -233,12 +234,13 @@ def solve(P, kappa: float, priors) -> ShannonSolution:
     weights[here] = 1.0
     steps = np.zeros(B, dtype=int)
     rows = np.flatnonzero(~stay)
-    if rule_out and len(rows):
-        closed, p, certified = _water_fill(top, beta, kappa, priors[rows], tol)
-        hit = rows[certified]
-        values[hit], weights[hit], rows = closed[certified], p[certified], rows[~certified]
     if len(rows):
         E = np.exp((P - top) / kappa)
+        if rule_out:
+            closed, p, certified = _water_fill(E, top, beta, kappa, priors[rows], tol)
+            hit = rows[certified]
+            values[hit], weights[hit], rows = closed[certified], p[certified], rows[~certified]
+    if len(rows):
         values[rows], weights[rows], steps[rows] = _newton(E, top, kappa, priors[rows], tol)
     return ShannonSolution(values, weights, stay, steps)
 

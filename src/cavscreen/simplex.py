@@ -112,65 +112,62 @@ class Contract:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorDistribution:
-    """Finitely supported, Bayes-plausible distribution over posterior beliefs."""
+    """Finitely supported, Bayes-plausible distribution over posterior
+    beliefs, held as the (k, n) stack of its support points."""
 
-    support: tuple[Belief, ...]
+    support_matrix: np.ndarray
     weights: np.ndarray
     prior: Belief
 
     def __init__(self, support, weights, prior: Belief):
-        """``support``: Beliefs, or a (k, n) array whose rows get Belief's checks at once."""
-        rows = _frozen_array(support) if isinstance(support, np.ndarray) else None
-        if rows is not None:
-            support = [object.__new__(Belief) for _ in rows]
-            for b, row in zip(support, rows):
-                object.__setattr__(b, "probs", row)
-        support = tuple(support)
-        if not support:
+        """``support``: Beliefs, or a (k, n) array of their coordinates; the
+        stacked rows get Belief's checks together."""
+        rows = [getattr(b, "probs", b) for b in support]
+        if not rows:
             raise EmptySupport("posterior distribution needs a nonempty support")
         w = _frozen_array(weights)
-        if w.size != len(support):
+        if w.size != len(rows):
             raise ValueError("one weight per support point required")
-        if w.min() < -COORD_TOL:
-            raise ValueError(f"negative weight {w.min()!r}")
-        if abs(float(w.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        if any(b.n != prior.n for b in support):
+        # Ufunc reductions: a plan holds a handful of points, where the
+        # array methods' own overhead is most of the cost.
+        if (low := np.minimum.reduce(w)) < -COORD_TOL:
+            raise ValueError(f"negative weight {low!r}")
+        if abs((total := np.add.reduce(w)) - 1.0) > SUM_TOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+        if any(np.shape(r) != prior.probs.shape for r in rows):
             raise DimensionMismatch("support point dimension differs from prior")
-        if rows is None:
-            rows = _frozen_array([b.probs for b in support])
-        elif rows.min() < -COORD_TOL:
-            raise ValueError(f"negative probability {rows.min()!r} in belief")
-        elif (far := np.abs(rows.sum(axis=1) - 1.0) > SUM_TOL).any():
-            raise ValueError(f"belief coordinates sum to {float(rows[far][0].sum())!r}, not 1")
+        rows = _frozen_array(rows)
+        if (low := np.minimum.reduce(rows, axis=None)) < -COORD_TOL:
+            raise ValueError(f"negative probability {low!r} in belief")
+        for total in np.add.reduce(rows, axis=1).tolist():
+            if abs(total - 1.0) > SUM_TOL:
+                raise ValueError(f"belief coordinates sum to {total!r}, not 1")
         mean = w @ rows
-        if np.abs(mean - prior.probs).max() > SUM_TOL:
+        if np.maximum.reduce(np.abs(mean - prior.probs)) > SUM_TOL:
             raise ValueError(
                 f"not Bayes-plausible: mean posterior {mean} != prior {prior.probs}"
             )
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support_matrix", rows)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "_rows", rows)
 
     @property
-    def support_matrix(self) -> np.ndarray:
-        return self._rows
+    def support(self) -> tuple[Belief, ...]:
+        """The support points as Beliefs, built on each call."""
+        return tuple(Belief(row) for row in self.support_matrix)
 
     def is_degenerate(self) -> bool:
         """True when all mass sits on a single posterior equal to the prior."""
-        live = [b for b, w in zip(self.support, self.weights) if w > COORD_TOL]
-        return len(live) == 1 and np.abs(live[0].probs - self.prior.probs).max() <= COORD_TOL
+        live = self.support_matrix[self.weights > COORD_TOL]
+        return len(live) == 1 and np.abs(live[0] - self.prior.probs).max() <= COORD_TOL
 
     def __len__(self) -> int:
-        return len(self.support)
+        return len(self.support_matrix)
 
 
 def degenerate(prior: Belief) -> PosteriorDistribution:
-    """The no-learning plan: all mass on the prior itself, valid by construction."""
-    plan, one = object.__new__(PosteriorDistribution), _frozen_array([1.0])
-    plan.__dict__.update(support=(prior,), weights=one, prior=prior, _rows=prior.probs[None])
-    return plan
+    """The no-learning plan: all mass on the prior itself."""
+    return PosteriorDistribution((prior,), [1.0], prior)
 
 
 def default_resolution(n: int) -> int:

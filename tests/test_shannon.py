@@ -35,18 +35,27 @@ from helpers import shifted, stay_oracle
 
 KAPPAS = (1e-3, 0.3)
 # Lattice resolutions for the grid routes, small enough for a quick hull.
-GRID = {4: 12, 5: 8}
+GRID = {4: 12, 5: 8, 6: 6}
+
+
+def rule_out_fines(n, kind):
+    """One common fine, or one fine per state drawn in [0.3, 3]."""
+    if kind == "common":
+        return np.ones(n)
+    return np.random.default_rng(30 + n).uniform(0.3, 3.0, size=n)
 
 
 def games(n):
-    """Rule-out with a common fine, Proposition-2 fines, and a hand-built
-    game with n + 2 actions, two of them identical."""
+    """Rule-out with a common fine and with one fine per state,
+    Proposition-2 fines, and a hand-built game with n + 2 actions, two of
+    them identical."""
     rng = np.random.default_rng(n)
     rho = Belief(0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n)
     fines = rng.uniform(0.0, 1.0, (n + 2, n))
     fines[1] = fines[0]
     return {
         "rule-out": SimpleAnnouncement(Contract(0.2, 1.0)),
+        "per-state": SimpleAnnouncement(Contract(0.2, rule_out_fines(n, "per-state"))),
         "prop2": SimpleAnnouncement(prop2_contract(rho, 0.999 * rho[n - 1] * 1.5, 1.5)),
         "hand-built": DecisionProblem(0.3, lambda m: fines),
     }
@@ -65,7 +74,8 @@ def priors(n):
 
 CASES = [
     pytest.param(n, kind, kappa, id=f"n{n}-{kind}-kappa{kappa:g}")
-    for n in (4, 5) for kind in ("rule-out", "prop2", "hand-built") for kappa in KAPPAS
+    for n in (4, 5, 6) for kind in ("rule-out", "per-state", "prop2", "hand-built")
+    for kappa in KAPPAS
 ]
 
 
@@ -116,7 +126,7 @@ def test_certificate_holds(n, kind, kappa):
 
 def newton_only(monkeypatch):
     """Make the closed form certify no row, so every row goes to Newton."""
-    def nothing(top, beta, kappa, mu, tol):
+    def nothing(E, top, beta, kappa, mu, tol):
         return np.zeros(len(mu)), np.zeros((len(mu), len(beta))), np.zeros(len(mu), dtype=bool)
 
     monkeypatch.setattr(shannon, "_water_fill", nothing)
@@ -161,8 +171,8 @@ def test_rule_out_stay_test_matches_the_tensor_oracle(n, kind):
         # fail its certificate), so the stay test must come first.
         tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
         top = P.max(axis=0)
-        beta = -np.expm1((np.diag(P) - top) / kappa)
-        uncertified += (~shannon._water_fill(top, beta, kappa, mu[stay], tol)[2]).sum()
+        E, beta = np.exp((P - top) / kappa), -np.expm1((np.diag(P) - top) / kappa)
+        uncertified += (~shannon._water_fill(E, top, beta, kappa, mu[stay], tol)[2]).sum()
     assert uncertified > 0
 
 
@@ -187,16 +197,15 @@ def test_steps_are_zero_on_a_rule_out_lattice_and_count_newton_elsewhere():
 @pytest.mark.parametrize("n, kind, kappa", CASES)
 def test_plan_is_bayes_plausible_and_attains_the_value(n, kind, kappa):
     model, game, mu = PosteriorSeparable(kappa, neg_entropy()), games(n)[kind], priors(n)
-    scale = 1.0 + np.abs(payoffs(game, n)).max()
     stay = shannon.solve(payoffs(game, n), kappa, mu).stay
     for row, stays in zip(mu, stay):
         res = informed_value(model, game, Belief(row))
         w, X = np.asarray(res.plan.weights), res.plan.support_matrix
-        assert np.abs(w @ X - row).max() <= 1e-9
+        assert np.abs(w @ X - row).max() <= 1e-12
         assert res.plan.is_degenerate() or not stays
-        assert res.cost == pytest.approx(distribution_cost(model, res.plan), abs=1e-12 * scale)
+        assert res.cost == distribution_cost(model, res.plan)
         achieved = float(w @ game.batch(X)) - res.cost
-        assert achieved == pytest.approx(res.value, abs=1e-9 * scale)
+        assert abs(achieved - res.value) <= 1e-12 * (1.0 + abs(res.value))
 
 
 @pytest.mark.parametrize("n, kind, kappa", CASES)
@@ -205,6 +214,7 @@ def test_sweep_row_equals_the_point_value_bit_for_bit(n, kind, kappa):
     swept = informed_value_sweep(model, game, mu)
     for row, value in zip(mu, swept):
         assert informed_value(model, game, Belief(row)).value == value
+        assert informed_value_sweep(model, game, row[None])[0] == value
 
 
 def test_the_announce_action_stays_put_where_learning_cannot_pay():
@@ -241,13 +251,6 @@ def test_other_models_and_three_states_stay_on_the_grid(monkeypatch):
     ):
         informed_value_sweep(model, game, simplex_grid_array(n, 4), resolution=6)
         informed_value(model, game, Belief(np.full(n, 1.0 / n)), resolution=6)
-
-
-def rule_out_fines(n, kind):
-    """One common fine, or one fine per state drawn in [0.3, 3]."""
-    if kind == "common":
-        return np.ones(n)
-    return np.random.default_rng(30 + n).uniform(0.3, 3.0, size=n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -291,23 +294,3 @@ def test_rule_out_minimum_stays_finite_at_extremes(kappa, fines):
     assert worst.min() >= 0.0 and worst.sum() == pytest.approx(1.0, abs=1e-15)
     # Learning never hurts, and the uninformed maximin is a floor for it.
     assert -1.0 / np.sum(1.0 / fines) * (1.0 + 1e-12) <= shortfall <= 0.0
-
-
-@pytest.mark.parametrize("n", range(4, 7))
-@pytest.mark.parametrize("kind", ("common", "per-state"))
-def test_point_is_its_one_row_sweep_with_a_plan_that_attains_it(n, kind):
-    """Interior, face and vertex priors of rule-out games, priced as points."""
-    model = PosteriorSeparable(0.3, neg_entropy())
-    fines = rule_out_fines(n, kind)
-    game = SimpleAnnouncement(Contract(0.2, 1.0 if kind == "common" else fines))
-    rng = np.random.default_rng(60 + n)
-    face = np.column_stack([rng.dirichlet(np.ones(n - 1), size=3), np.zeros(3)])
-    mu = np.vstack([rng.dirichlet(np.ones(n), size=4), face, np.eye(n)[[0, n - 1]]])
-    for row in mu:
-        res = informed_value(model, game, Belief(row))
-        assert res.value == informed_value_sweep(model, game, row[None])[0]
-        w, X = np.asarray(res.plan.weights), res.plan.support_matrix
-        assert np.abs(w @ X - row).max() <= 1e-12
-        achieved = float(w @ game.batch(X)) - res.cost
-        assert abs(achieved - res.value) <= 1e-12 * (1.0 + abs(res.value))
-        assert res.cost == distribution_cost(model, res.plan)
