@@ -224,7 +224,7 @@ def criterion_envelope_oracles() -> tuple[bool, str]:
 @_criterion("kink-avoidance", budget=60.0)
 def criterion_kink_avoidance() -> tuple[bool, str]:
     bad = []
-    resolution = 1000
+    resolution = 1000  # of the default two-state lattice
     half = belief2(0.5)
     cases = []
     for kappa in (0.01, 0.1):
@@ -233,9 +233,7 @@ def criterion_kink_avoidance() -> tuple[bool, str]:
     model_one = PosteriorSeparable(1.0, neg_entropy())
     cases.append((model_one, design_binary_contract(model_one)))
     for model, contract in cases:
-        plan = informed_value(
-            model, SimpleAnnouncement(contract), half, resolution=resolution
-        ).plan
+        plan = informed_value(model, SimpleAnnouncement(contract), half).plan
         xs = sorted(b[0] for b in plan.support)
         if len(xs) != 2:
             bad.append(f"kappa={model.kappa:g}: {len(xs)} support points")
@@ -244,11 +242,9 @@ def criterion_kink_avoidance() -> tuple[bool, str]:
     urn_model = PosteriorSeparable(0.01, neg_entropy())
     urn_contract = Contract(0.03, 0.1)
     urn_value = UrnDraw(urn_contract)
-    urn_res = 200
+    urn_res = 200  # of the default three-state lattice
     for probs in ((0.3, 0.4, 0.3), (0.25, 0.5, 0.25), (0.45, 0.1, 0.45)):
-        plan = informed_value(
-            urn_model, urn_value, Belief(probs), resolution=urn_res
-        ).plan
+        plan = informed_value(urn_model, urn_value, Belief(probs)).plan
         if plan.is_degenerate():
             bad.append(f"urn prior {probs}: learning degenerate")
             continue

@@ -141,8 +141,6 @@ def _cmd_screen(args) -> int:
     variant = choice_from(cfg, "variant", VARIANTS, "simple")
     n = states_from(cfg)
     resolution = resolution_from(cfg)
-    if contract is not None and kind == "seu" and rho is None:
-        raise ConfigError("uninformed: seu needs rho, the uninformed belief")
     if contract is None:
         built = construct_screening_contract(
             model, assumption_from(cfg), center=rho, n=n, resolution=resolution,

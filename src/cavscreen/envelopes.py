@@ -272,8 +272,6 @@ class SimplexEnvelope:
             raise EmptyGrid("empty simplex envelope grid")
         if pts.ndim != 2 or pts.shape[0] != fvals.size:
             raise ValueError("points must be (N, n) with one sample per row")
-        self.points = pts
-        self.fs = fvals
         self.n = pts.shape[1]
         free = pts[:, :-1]
         lifted = np.column_stack([free, fvals])

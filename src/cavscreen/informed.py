@@ -10,12 +10,13 @@ is the one-row case of a sweep over priors, on one of three routes:
 - the Shannon cost (negative entropy) on four or more states is solved
   exactly and certified by ``shannon.solve``, with no belief grid;
 - every other cost takes the concave envelope of the objective sampled on
-  the lattice, which biases the value low.  A sweep of two or more priors
-  stacks them on the lattice (unless they are it) and builds a 1-D envelope
-  on two states or a hull on more.  A single prior is priced against the
-  lattice alone, by the 1-D split or the simplex walk (``concavify_walk``),
-  and then against its own sample, which decides staying put.  The
-  potential on the shared default lattice is computed once per potential.
+  one lattice per state count, the default one, which biases the value
+  low.  A sweep of two or more priors stacks them on the lattice (unless
+  they are it) and builds a 1-D envelope on two states or a hull on more.
+  A single prior is priced against the lattice alone, by the 1-D split or
+  the simplex walk (``concavify_walk``), and then against its own sample,
+  which decides staying put.  The potential on the lattice is computed
+  once per potential.
 
 A single prior's value is its one-row sweep bit for bit on every route; on
 three or more states the walk and the hull agree to rounding.
@@ -32,7 +33,7 @@ from . import shannon
 from .costs import CostModel, FixedMenu, PosteriorSeparable, distribution_cost, neg_entropy
 from .envelopes import _CONTACT_TOL, Envelope1d, SimplexEnvelope, _prune_plan, concavify_walk
 from .experiments import induced_posterior_distribution
-from .simplex import Belief, PosteriorDistribution, _frozen_array, default_resolution
+from .simplex import Belief, PosteriorDistribution, _frozen_array
 from .simplex import degenerate, simplex_grid_array
 from .values import DecisionProblem
 
@@ -50,15 +51,14 @@ def _exact(model: CostModel, n: int) -> bool:
 
 
 def _objective(
-    model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray, resolution: int | None
+    model: PosteriorSeparable, game: DecisionProblem, priors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice, stacked with the queried priors when there are two or
-    more and they are not the lattice itself, the objective V - kappa*c
-    sampled on those rows, and kappa*c there."""
+    """The default lattice, stacked with the queried priors when there are
+    two or more and they are not the lattice itself, the objective
+    V - kappa*c sampled on those rows, and kappa*c there."""
     n = priors.shape[1]
-    grid = simplex_grid_array(n, resolution)
-    shared = resolution is None or resolution == default_resolution(n)
-    c = _lattice_potential(model.potential, n) if shared else model.potential.batch(grid)
+    grid = simplex_grid_array(n)
+    c = _lattice_potential(model.potential, n)
     if len(priors) > 1 and not np.array_equal(priors, grid):
         grid = np.vstack([grid, priors])
         c = np.concatenate([c, model.potential.batch(priors)])
@@ -67,13 +67,13 @@ def _objective(
 
 
 def _at_prior(
-    model: PosteriorSeparable, game: DecisionProblem, mu: Belief, resolution: int | None
+    model: PosteriorSeparable, game: DecisionProblem, mu: Belief
 ) -> tuple[float, PosteriorDistribution]:
     """Net value at one prior on the grid routes, with a plan: the lattice
     samples' envelope at mu or mu's own sample g(mu), whichever is larger.
     That is exact, as a plan weighting mu puts its other mass on lattice
     points with barycenter mu; if g(mu) reaches the envelope, mu stays put."""
-    grid, g, _ = _objective(model, game, mu.probs[None], resolution)
+    grid, g, _ = _objective(model, game, mu.probs[None])
     kc = model.kappa * model.potential.batch(mu.probs[None])[0]
     own = game.batch(mu.probs[None])[0] - kc
     env, plan = Envelope1d(grid[:, 0], g).split(mu) if mu.n == 2 else concavify_walk(grid, g, mu)
@@ -92,7 +92,6 @@ def informed_value(
     model: CostModel,
     game: DecisionProblem,
     mu: Belief,
-    resolution: int | None = None,
 ) -> InformedResult:
     """Optimal net payoff of an informed expert at prior mu, with the
     posterior plan that attains it and the learning cost it incurs.
@@ -117,7 +116,7 @@ def informed_value(
             return InformedResult(value, degenerate(mu), 0.0)
         plan = _prune_plan(*shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0]), mu)
     else:
-        value, plan = _at_prior(model, game, mu, resolution)
+        value, plan = _at_prior(model, game, mu)
     if plan.is_degenerate():
         # Keep the stay-put plan anchored at the prior itself.
         return InformedResult(value, degenerate(mu), 0.0)
@@ -153,10 +152,8 @@ def informed_value_sweep(
     model: CostModel,
     game: DecisionProblem,
     priors,
-    resolution: int | None = None,
 ) -> np.ndarray:
-    """Informed net value at every prior row, vectorized; ``resolution``
-    is unused on the exact Shannon route."""
+    """Informed net value at every prior row, vectorized."""
     priors = np.asarray(priors, dtype=float)
     if isinstance(model, FixedMenu):
         return _menu_candidates(model, game, priors).max(axis=0)
@@ -164,7 +161,7 @@ def informed_value_sweep(
     if _exact(model, n):
         return shannon.solve(game.u - game.fines(n), model.kappa, priors).values
     if len(priors) == 1:
-        return np.array([_at_prior(model, game, Belief(priors[0]), resolution)[0]])
-    grid, g, kc = _objective(model, game, priors, resolution)
+        return np.array([_at_prior(model, game, Belief(priors[0]))[0]])
+    grid, g, kc = _objective(model, game, priors)
     envelope = Envelope1d(grid[:, 0], g) if n == 2 else SimplexEnvelope(grid, g)
     return envelope.values(priors[:, 0] if n == 2 else priors) + kc[len(grid) - len(priors) :]

@@ -94,24 +94,18 @@ VARIANTS = {"simple": SimpleAnnouncement, "urn": UrnDraw}
 UNINFORMED = ("maximin", "seu")
 
 
-def _state_count(model: CostModel, n: int | None) -> int | None:
-    """n, else the state count of the menu's experiments."""
-    if n is None and isinstance(model, FixedMenu) and model.entries:
-        return model.entries[0][0].n
-    return n
-
-
-def _menu_states(model: CostModel) -> set[int]:
-    """State counts of a menu's experiments; none for other models."""
-    return {E.n for E, _ in model.entries} if isinstance(model, FixedMenu) else set()
-
-
-def _center(model: CostModel, center: Belief | None, n: int | None) -> Belief:
-    """The ball center: as given, else the uniform belief."""
-    n = _state_count(model, n)
-    if center is None and n is None:
-        raise ValueError("state count n required when no center is given")
-    return uniform_belief(n) if center is None else center
+def _states(model: CostModel, n: int | None, *widths: int | None) -> int:
+    """The one state count that n, the menu's experiments and the widths
+    (of the game, a custom grid, an seu rho, a center; None where unset) fix."""
+    menu = [E.n for E, _ in model.entries] if isinstance(model, FixedMenu) else []
+    counts = {k for k in (n, *widths, *menu) if k is not None}
+    if len(counts) > 1:
+        raise DimensionMismatch(
+            f"n={n}; the game, priors, rho, center and menu experiments give {sorted(counts)}"
+        )
+    if not counts:
+        raise ValueError("state count n required for a common-fine contract")
+    return counts.pop()
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,8 @@ def screens(
     ``uninformed`` picks the outside type: "maximin" for a beliefless expert,
     "seu" for one holding belief ``rho`` on the game's states.  ``variant``
     picks the game both types play: "simple" rules out one state, "urn"
-    plays color calls on three states.
+    plays color calls on three states.  ``n`` may be left out where the
+    game, ``grid``, an seu ``rho`` or a menu fixes the state count.
 
     Naming a prior set asks for a lattice verdict: ``resolution`` sets the
     simplex lattice, and ``grid``, an (N, n) array of prior rows, replaces
@@ -187,33 +182,29 @@ def screens(
         raise ValueError(f"unknown uninformed kind: {uninformed!r}")
     if uninformed == "seu" and rho is None:
         raise ValueError("seu comparison needs the uninformed belief rho")
+    game = VARIANTS[variant](contract)
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 2 or not len(grid):
+            raise ValueError("a custom grid is a nonempty stack of prior rows")
+        if not (
+            (grid >= -COORD_TOL).all() and (np.abs(grid.sum(axis=1) - 1.0) <= SUM_TOL).all()
+        ):
+            raise ValueError("custom grid rows must be probability vectors")
+    n = _states(
+        model, n, game.n, None if grid is None else grid.shape[1],
+        rho.n if uninformed == "seu" else None,
+    )
     whole = (
         grid is None and resolution is None and variant == "simple"
         and isinstance(model, PosteriorSeparable) and model.potential == neg_entropy()
     )
-    game = VARIANTS[variant](contract)
-    n = game.states(_state_count(model, n))
+    prior_set = None if grid is None else f"custom grid, {len(grid)} priors"
     if whole:
         # No lattice, but a state count too large for the default one stays an error.
         grid_size(n, default_resolution(n))
-        points, prior_set = np.empty((0, n)), None
     elif grid is None:
-        points, prior_set = simplex_grid_array(n, resolution), None
-    else:
-        points = np.asarray(grid, dtype=float)
-        prior_set = f"custom grid, {len(points)} priors"
-        if points.ndim != 2 or not len(points):
-            raise ValueError("a custom grid is a nonempty stack of prior rows")
-        if not (
-            (points >= -COORD_TOL).all() and (np.abs(points.sum(axis=1) - 1.0) <= SUM_TOL).all()
-        ):
-            raise ValueError("custom grid rows must be probability vectors")
-    widths = {points.shape[1]} | ({rho.n} if uninformed == "seu" else set())
-    widths |= _menu_states(model)
-    if widths != {n}:
-        raise DimensionMismatch(
-            f"the game has n={n}, its priors, rho or menu experiments have {sorted(widths)}"
-        )
+        grid = simplex_grid_array(n, resolution)
     if uninformed == "maximin":
         outside = uninformed_maximin(game, n).value
     else:
@@ -224,8 +215,8 @@ def screens(
             contract, n, 0, uninformed, outside, contract.u + shortfall, Belief(worst),
             "whole simplex",
         )
-    net = informed_value_sweep(model, game, points)
-    return _report(contract, n, resolution, points, net, outside, uninformed, prior_set)
+    net = informed_value_sweep(model, game, grid)
+    return _report(contract, n, resolution, grid, net, outside, uninformed, prior_set)
 
 
 @dataclass(frozen=True)
@@ -279,14 +270,15 @@ def assumption_probe(
     certificate is the worst such improvement and the dearest price paid.
     Returns None when no strictly positive improvement is certifiable.
     """
-    center = _center(model, center, n)
+    n = _states(model, n, None if center is None else center.n)
+    center = uniform_belief(n) if center is None else center
     ball = ball_grid(center, eta, resolution)
     gain, price = _ball_options(model, ball)
     best = gain.argmax(axis=0), np.arange(len(ball))
     worst, T = float(gain[best].min()), float(price[best].max())
     if worst <= 0.0 or not np.isfinite(T):
         return None
-    resolution = default_resolution(center.n) if resolution is None else resolution
+    resolution = default_resolution(n) if resolution is None else resolution
     return AssumptionCertificate(0.99 * worst, T, center, eta, resolution)
 
 
@@ -325,8 +317,8 @@ def construct_screening_contract(
     announcement probability outside the ball), whose informed net value is
     nonnegative on the whole grid and positive on the ball.
     """
-    center = _center(model, center, n)
-    n = center.n
+    n = _states(model, n, None if center is None else center.n)
+    center = uniform_belief(n) if center is None else center
     if assumption is not None:
         epsilon, eta, T = (float(v) for v in assumption)
         if epsilon <= 0.0:
@@ -431,10 +423,7 @@ def xi_screen_search(
         raise ValueError("xi must lie in (0, 1]")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if _menu_states(model) - {n}:
-        raise DimensionMismatch(
-            f"n={n}, the menu's experiments have {sorted(_menu_states(model))} states"
-        )
+    n = _states(model, n)
     grid = simplex_grid_array(n, resolution)
     menu = isinstance(model, FixedMenu)
     scale = max((price for _, price in model.entries), default=0.0) + 1.0 if menu else model.kappa

@@ -18,6 +18,13 @@ def barycenter(F: PosteriorDistribution) -> Belief:
     return Belief(F.weights @ F.support_matrix)
 
 
+def lattice_samples(model, game, n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The resolution-r lattice of n states and the objective V - kappa*c of a
+    posterior-separable model sampled on it, for envelope tests on small lattices."""
+    grid = simplex_grid_array(n, resolution)
+    return grid, game.batch(grid) - model.kappa * model.potential.batch(grid)
+
+
 def scan_hull(xs, fs) -> np.ndarray:
     """Vertex indices of the upper concave envelope of samples at strictly
     increasing xs, by the monotone upper-hull scan: each new sample pops

@@ -207,6 +207,14 @@ class TestScreenCommand:
         assert code == 0
         assert "resolution 200" in out
 
+    def test_ball_fixes_the_state_count(self, capsys, tmp_path):
+        text = ENTROPY_SCREEN + "ball:\n  center: [0.2, 0.3, 0.5]\nresolution: 20\n"
+        code = cli.main(["screen", "--config", write(tmp_path, "ball3.yaml", text)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("states: 3   priors: custom grid")
+        assert "screens: yes" in out
+
     @pytest.mark.parametrize(
         "base, key, value",
         [
@@ -414,6 +422,11 @@ class TestErrorPaths:
                 "screen", ENTROPY_SCREEN + "n: 3\nball:\n  center: [0.5, 0.5]\n",
                 id="ball-off-the-state-count",
             ),
+            pytest.param(
+                "screen", "model:\n  kappa: 0.1\ncontract: search\nn: 3\nrho: [0.5, 0.5]\n",
+                id="search-center-off-the-state-count",
+            ),
+            pytest.param("screen", ENTROPY_SCREEN + "n: 2\nuninformed: seu\n", id="seu-without-rho"),
             pytest.param("xi-screen", "xi: lots\n", id="xi-not-a-number"),
             pytest.param("xi-screen", "xi: 1.5\n", id="xi-above-one"),
             pytest.param("prop2", "rho: [0.25, 0.75]\nd_last: heavy\n", id="d-last-not-a-number"),

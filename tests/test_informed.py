@@ -26,7 +26,7 @@ from cavscreen import (
 from cavscreen import envelopes, informed
 from cavscreen.envelopes import concavify_lp, concavify_walk
 from cavscreen.acceptance import worked_contract, worked_menu
-from helpers import barycenter
+from helpers import barycenter, lattice_samples
 
 
 class TestMenuValues:
@@ -94,7 +94,7 @@ class TestSeparableValues:
         rng = np.random.default_rng(52)
         for q in rng.dirichlet(np.ones(3), size=6):
             mu = Belief(q)
-            res = informed_value(model, vf, mu, resolution=40)
+            res = informed_value(model, vf, mu)
             assert res.value >= vf.value(mu) - 1e-9
             expected_gross = float(
                 np.asarray(res.plan.weights) @ vf.batch(res.plan.support_matrix)
@@ -127,10 +127,8 @@ class TestSweep:
         vf = SimpleAnnouncement(Contract(0.4, 1.1))
         rng = np.random.default_rng(53)
         pts = rng.dirichlet(np.ones(3), size=8)
-        swept = informed_value_sweep(model, vf, pts, resolution=40)
-        single = [
-            informed_value(model, vf, Belief(p), resolution=40).value for p in pts
-        ]
+        swept = informed_value_sweep(model, vf, pts)
+        single = [informed_value(model, vf, Belief(p)).value for p in pts]
         np.testing.assert_allclose(swept, single, atol=1e-9)
 
     def test_dominates_gross_everywhere(self):
@@ -172,14 +170,15 @@ TWO_STATE_GAMES = {
         PosteriorSeparable(2.0, quadratic()), SimpleAnnouncement(Contract(0.4, 1.1))
     ),
 }
-# Vertices, an edge prior on and off the resolution-40 lattice, an interior
-# lattice point and two interior priors between lattice points.
+# Vertices, an edge prior on and off the resolution-40 and default (200)
+# lattices, an interior lattice point and two interior priors between
+# lattice points.
 THREE_STATE_PRIORS = (
     (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 0.0), (0.123, 0.0, 0.877),
     (0.25, 0.5, 0.25), (0.2113, 0.3359, 0.4528), (0.6021, 0.1287, 0.2692),
 )
 # Vertices, lattice priors and priors between lattice points; under the
-# quadratic cost 0.275 (on the lattice) and 0.123 (off it) stay put.
+# quadratic cost 0.275 (on the resolution-40 lattice) and 0.123 (off it) stay put.
 TWO_STATE_PRIORS = (
     (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.275, 0.725), (0.123, 0.877), (0.4871, 0.5129),
 )
@@ -193,8 +192,8 @@ class TestThreeStatePoints:
         priors = TWO_STATE_PRIORS if name in TWO_STATE_GAMES else THREE_STATE_PRIORS
         for probs in priors:
             mu = Belief(probs)
-            res = informed_value(model, game, mu, resolution=40)
-            assert res.value == informed_value_sweep(model, game, mu.probs[None], resolution=40)[0]
+            res = informed_value(model, game, mu)
+            assert res.value == informed_value_sweep(model, game, mu.probs[None])[0]
             plan = res.plan
             assert len(plan) <= mu.n
             np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
@@ -204,8 +203,8 @@ class TestThreeStatePoints:
 
 
 # Priors on four and five states, on the resolution-8 lattice (a vertex, the
-# centre or a lattice point) and between its points.  Under the quadratic
-# cost the priors with a zero coordinate stay put and the others learn.
+# centre or a lattice point) and between its points; the point tests price
+# them on the default lattice.
 LP_PRIORS = (
     (0.0, 0.0, 0.0, 1.0), (0.25, 0.25, 0.25, 0.25), (0.125, 0.375, 0.5, 0.0),
     (0.15, 0.35, 0.5, 0.0), (0.1, 0.2, 0.3, 0.4), (0.31, 0.07, 0.22, 0.4),
@@ -219,8 +218,8 @@ class TestLpPoints:
     def test_point_agrees_with_the_sweep_row_on_the_same_samples(self, probs):
         model, game = THREE_STATE_GAMES["quadratic"]
         mu = Belief(probs)
-        res = informed_value(model, game, mu, resolution=8)
-        assert res.value == informed_value_sweep(model, game, mu.probs[None], resolution=8)[0]
+        res = informed_value(model, game, mu)
+        assert res.value == informed_value_sweep(model, game, mu.probs[None])[0]
         plan = res.plan
         assert len(plan) <= mu.n
         np.testing.assert_allclose(barycenter(plan).probs, mu.probs, atol=1e-12)
@@ -230,7 +229,7 @@ class TestLpPoints:
 
 class TestWalkParity:
     """The walk against the envelope the sweep of many priors builds, and
-    against the LP, on the samples a single prior's value is priced on."""
+    against the LP, on the same samples of small lattices."""
 
     @pytest.mark.parametrize(
         "name, probs, resolution",
@@ -241,7 +240,7 @@ class TestWalkParity:
     def test_walk_matches_the_hull_and_the_lp(self, name, probs, resolution):
         model, game = POINT_GAMES[name]
         mu = Belief(probs)
-        grid, g, _ = informed._objective(model, game, mu.probs[None], resolution)
+        grid, g = lattice_samples(model, game, mu.n, resolution)
         walked, _ = concavify_walk(grid, g, mu)
         if mu.n == 2:
             hull = envelopes.Envelope1d(grid[:, 0], g).values(mu.probs[:1])[0]
@@ -265,18 +264,18 @@ class TestRoutes:
         squared = PosteriorSeparable(0.5, quadratic())
         rule_out = SimpleAnnouncement(Contract(0.3, 1.0))
         cases = [
-            (entropy, rule_out, (0.2, 0.3, 0.5), None),
-            (entropy, UrnDraw(Contract(0.03, 0.1)), (0.2, 0.3, 0.5), None),
-            (squared, rule_out, (0.2, 0.3, 0.5), 40),
-            (squared, rule_out, (0.1, 0.2, 0.3, 0.4), 8),
-            (squared, rule_out, (0.11, 0.23, 0.19, 0.3, 0.17), 8),
+            (entropy, rule_out, (0.2, 0.3, 0.5)),
+            (entropy, UrnDraw(Contract(0.03, 0.1)), (0.2, 0.3, 0.5)),
+            (squared, rule_out, (0.2, 0.3, 0.5)),
+            (squared, rule_out, (0.1, 0.2, 0.3, 0.4)),
+            (squared, rule_out, (0.11, 0.23, 0.19, 0.3, 0.17)),
         ]
-        for model, game, probs, resolution in cases:
+        for model, game, probs in cases:
             mu = Belief(probs)
-            assert not informed_value(model, game, mu, resolution).plan.is_degenerate()
-            informed_value_sweep(model, game, mu.probs[None], resolution)
+            assert not informed_value(model, game, mu).plan.is_degenerate()
+            informed_value_sweep(model, game, mu.probs[None])
         with pytest.raises(AssertionError, match="LP or the hull was called"):
-            informed_value_sweep(squared, rule_out, simplex_grid_array(3, 8)[:2], resolution=8)
+            informed_value_sweep(squared, rule_out, simplex_grid_array(3, 8)[:2])
 
 
 class TestDefaults:
@@ -383,18 +382,24 @@ class TestSinglePriorRoute:
             assert points is lattice and samples == len(lattice)
 
     @pytest.mark.parametrize(
-        "name, probs", [("two-state-quadratic", (0.123, 0.877)), ("quadratic", (0.123, 0.0, 0.877))]
+        "name, probs, gap",
+        [
+            ("two-state-quadratic", (0.1235, 0.8765), 1e-6),
+            ("quadratic", (0.1225, 0.0, 0.8775), 6.25e-6),
+        ],
     )
-    def test_own_sample_above_the_lattice_envelope_stays_put(self, name, probs):
+    def test_own_sample_above_the_lattice_envelope_stays_put(self, name, probs, gap):
+        """mu halves a lattice step on an edge where the objective is a
+        concave quadratic, so its own sample rises above the lattice
+        envelope by |g''| h^2 / 8 (h = 1/1000 at n = 2, 1/200 at n = 3)."""
         model, game = POINT_GAMES[name]
         mu = Belief(probs)
-        grid, g, _ = informed._objective(model, game, mu.probs[None], 40)
-        assert len(grid) == len(simplex_grid_array(mu.n, 40))
+        grid, g = lattice_samples(model, game, mu.n, default_resolution(mu.n))
         env = concavify_lp(grid, g, mu)[0]
         kc = model.kappa * model.potential.batch(mu.probs[None])[0]
         own = game.batch(mu.probs[None])[0] - kc
-        assert own > env + 1e-6
-        res = informed_value(model, game, mu, resolution=40)
+        assert own - env == pytest.approx(gap, rel=1e-6)
+        res = informed_value(model, game, mu)
         assert res.value == own + kc
         assert res.plan.is_degenerate() and res.cost == 0.0
 
@@ -402,13 +407,13 @@ class TestSinglePriorRoute:
         """An affine objective is its own envelope, so lattice priors stay
         put; the walk leaves that decision to the prior's own sample."""
         rng = np.random.default_rng(48)
-        grid = simplex_grid_array(3, 12)
+        grid = simplex_grid_array(3)
         on_grid = grid[rng.choice(len(grid), size=6, replace=False)]
         # V - kappa*c = x @ (0.3, -1.2, 0.7) + 0.1, a single action under a zero potential.
         game = DecisionProblem(0.1, lambda n: np.array([[-0.3, 1.2, -0.7]]))
         model = PosteriorSeparable(1.0, Potential("zero", lambda pts: np.zeros(len(pts))))
         for q in on_grid:
-            assert informed_value(model, game, Belief(q), resolution=12).plan.is_degenerate()
+            assert informed_value(model, game, Belief(q)).plan.is_degenerate()
 
     @pytest.mark.parametrize(
         "name, probs",

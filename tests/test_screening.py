@@ -274,6 +274,21 @@ class TestScreens:
         with pytest.raises(DimensionMismatch, match="n=2"):
             xi_screen_search(menu, 0.5, n=2, resolution=10)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(grid=ball_grid(uniform_belief(3), 0.1, 20)),
+            dict(uninformed="seu", rho=Belief((0.2, 0.3, 0.5))),
+            dict(uninformed="seu", rho=Belief((0.2, 0.3, 0.5)), resolution=20),
+        ],
+        ids=["custom-grid", "seu-rho-whole-simplex", "seu-rho-lattice"],
+    )
+    def test_state_count_from_a_custom_grid_or_rho(self, kwargs):
+        model, contract = PosteriorSeparable(0.1, neg_entropy()), Contract(0.1, 1.0)
+        report = screens(model, contract, **kwargs)
+        assert report.n == 3
+        assert report.to_text() == screens(model, contract, 3, **kwargs).to_text()
+
     def test_custom_grid_descriptor(self):
         grid = ball_grid(belief2(0.5), 0.05, 100)
         report = screens(worked_menu(), worked_contract(), 2, grid=grid)
@@ -382,6 +397,13 @@ class TestAssumptionProbe:
 
 
 class TestConstruction:
+    def test_center_off_the_state_count_is_a_mismatch(self):
+        model = PosteriorSeparable(0.1, neg_entropy())
+        with pytest.raises(DimensionMismatch, match=r"n=3.*\[2, 3\]"):
+            construct_screening_contract(model, center=belief2(0.3), n=3)
+        with pytest.raises(DimensionMismatch, match=r"n=3.*\[2, 3\]"):
+            assumption_probe(model, 3, center=belief2(0.3))
+
     def test_probe_driven_pipeline_on_the_menu(self):
         built = construct_screening_contract(worked_menu(), n=2)
         assert built.report.screens
@@ -635,12 +657,10 @@ class TestPermutationEquivariance:
         perm = np.array([2, 0, 1])
         for q in rng.dirichlet(np.ones(3), size=4):
             base = informed_value(
-                model, SimpleAnnouncement(Contract(1.0, fines)),
-                Belief(q), resolution=30,
+                model, SimpleAnnouncement(Contract(1.0, fines)), Belief(q)
             ).value
             relabeled = informed_value(
-                model, SimpleAnnouncement(Contract(1.0, fines[perm])),
-                Belief(q[perm]), resolution=30,
+                model, SimpleAnnouncement(Contract(1.0, fines[perm])), Belief(q[perm])
             ).value
             assert relabeled == pytest.approx(base, abs=1e-9)
 

@@ -249,8 +249,8 @@ def test_other_models_and_three_states_stay_on_the_grid(monkeypatch):
         (PosteriorSeparable(0.3, quadratic()), 4),
         (PosteriorSeparable(0.3, shifted(neg_entropy(), 1.0)), 4),
     ):
-        informed_value_sweep(model, game, simplex_grid_array(n, 4), resolution=6)
-        informed_value(model, game, Belief(np.full(n, 1.0 / n)), resolution=6)
+        informed_value_sweep(model, game, simplex_grid_array(n, 4))
+        informed_value(model, game, Belief(np.full(n, 1.0 / n)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

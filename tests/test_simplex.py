@@ -16,11 +16,11 @@ from cavscreen import (
     PosteriorDistribution,
     ball_grid,
     belief2,
+    default_resolution,
     degenerate,
     simplex_grid_array,
     uniform_belief,
 )
-from cavscreen.informed import default_resolution
 from cavscreen.simplex import distances
 from helpers import assert_same_bits, barycenter, fold_stacks
 

@@ -44,12 +44,11 @@ RHO4 = (0.22, 0.25, 0.23, 0.3)
 
 def _samples(c, n: int, game) -> tuple:
     """The default lattice of n states and V - kappa c sampled on it, the
-    samples a single prior is concavified over (passing the lattice as the
-    priors keeps them unstacked on every tree)."""
+    samples a single prior is concavified over."""
     u, d, kappa, potential = game
-    model = c.PosteriorSeparable(kappa, getattr(c, potential)())
-    game = c.SimpleAnnouncement(c.Contract(u, d))
-    return c.informed._objective(model, game, c.simplex_grid_array(n), None)[:2]
+    grid = c.simplex_grid_array(n)
+    kc = kappa * getattr(c, potential)().batch(grid)
+    return grid, c.SimpleAnnouncement(c.Contract(u, d)).batch(grid) - kc
 
 
 def _at_prior(name: str, p, game):
