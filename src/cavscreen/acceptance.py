@@ -14,10 +14,9 @@ import time
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import shannon
-from .costs import FixedMenu, PosteriorSeparable, neg_entropy
+from .costs import FixedMenu, PosteriorSeparable, neg_entropy, quadratic
 from .envelopes import concavify_1d, concavify_lp
 from .experiments import symmetric_binary
 from .informed import informed_value, informed_value_sweep
@@ -178,15 +177,12 @@ def _random_objective(rng):
     slopes = rng.uniform(-2.0, 2.0, size=k)
     icepts = rng.uniform(-2.0, 2.0, size=k)
     scale = float(rng.uniform(-1.5, 1.5))
-    use_quad = bool(rng.random() < 0.5)
+    potential = quadratic() if rng.random() < 0.5 else neg_entropy()
 
     def f(x):
         x = np.asarray(x, dtype=float)
         lines = np.minimum.reduce([a * x + b for a, b in zip(slopes, icepts)])
-        if use_quad:
-            pot = x * x + (1.0 - x) * (1.0 - x)
-        else:
-            pot = xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)
+        pot = potential.batch(np.column_stack([x.ravel(), 1.0 - x.ravel()])).reshape(x.shape)
         return lines + scale * pot
 
     return f

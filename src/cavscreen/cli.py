@@ -2,9 +2,9 @@
 
 Each command takes only the options it reads (``_COMMANDS``), and ``main``
 is the one place that maps failures to exit codes: 0 on success, 1 on a
-value mismatch (including failed acceptance criteria), 2 when a
-construction is infeasible or a contract fails to screen, 3 on a config or
-command-line error, a flag the command does not take included.
+value mismatch (including failed acceptance criteria) or a closed stdout, 2
+when a construction is infeasible or a contract fails to screen, 3 on a
+config or command-line error, a flag the command does not take included.
 """
 
 from __future__ import annotations
@@ -192,16 +192,15 @@ def _cmd_xi_screen(args) -> int:
         0.01, neg_entropy()
     )
     xi = number_from(cfg, "xi", 0.1, low=0.0, high=1.0)
-    n = states_from(cfg) or 2
     resolution = resolution_from(cfg)
-    found = xi_screen_search(model, xi, n=n, resolution=resolution, seed=args.seed)
+    found = xi_screen_search(model, xi, n=states_from(cfg), resolution=resolution, seed=args.seed)
     print(f"contract: u={found.contract.u:.6g} d={found.contract.d:.6g}")
     print(
         f"rejection mass: {found.rejection:.4f} +/- {found.half_width:.4f} "
         f"({found.samples} samples), target >= {1.0 - xi:.4f}"
     )
     print(f"informed worst net value: {found.informed_min:.6g}")
-    print(f"analytic rejection mass: {rejection_measure(found.contract, n):.6f}")
+    print(f"analytic rejection mass: {rejection_measure(found.contract, found.n):.6f}")
     return EXIT_OK
 
 
@@ -262,7 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: what is left goes to os.devnull, as Python's docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError, DimensionMismatch) as exc:
         # A bad command line, config field, or grid, or a state count that the
         # config's n, rho, contract and model disagree on.

@@ -29,10 +29,11 @@ class Experiment:
         arr = _frozen_array(likelihoods)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
             raise ValueError(f"likelihoods must be n x m with n >= 2, got {arr.shape}")
-        if arr.min() < 0:
-            raise ValueError("likelihoods must be nonnegative")
+        # Written as not (x >= bound) so that NaN and +-inf fail too.
+        if not arr.min() >= 0:
+            raise ValueError(f"likelihoods must be nonnegative numbers, got {float(arr.min())!r}")
         rowsums = arr.sum(axis=1)
-        if np.abs(rowsums - 1.0).max() > SUM_TOL:
+        if not np.abs(rowsums - 1.0).max() <= SUM_TOL:
             raise ValueError(f"rows must sum to 1, got sums {rowsums}")
         object.__setattr__(self, "likelihoods", arr)
 

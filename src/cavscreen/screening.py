@@ -37,10 +37,9 @@ from .experiments import upsilon_batch
 from .informed import informed_value_sweep
 from .oracle import MaximinSolution
 from .simplex import (
-    COORD_TOL,
-    SUM_TOL,
     Belief,
     Contract,
+    _distributions,
     ball_grid,
     default_resolution,
     distances,
@@ -68,7 +67,7 @@ def uninformed_maximin(game: DecisionProblem, n: int | None = None) -> MaximinSo
     a rising one (the urn: u - d/2 at (1/2, 1/2)).  No other game is built,
     and one raises ValueError.  Returns the value and the mixture.
     """
-    F = game.fines(game.states(n))
+    F = game.fines(game.n if n is None else n)
     fines = np.diag(F)
     if not np.array_equal(F, np.diag(fines)):
         if len(F) != 2:
@@ -94,16 +93,17 @@ VARIANTS = {"simple": SimpleAnnouncement, "urn": UrnDraw}
 UNINFORMED = ("maximin", "seu")
 
 
-def _states(model: CostModel, n: int | None, *widths: int | None) -> int:
+def _states(model: CostModel, n: int | None, *widths: int | None, default=None) -> int:
     """The one state count that n, the menu's experiments and the widths
-    (of the game, a custom grid, an seu rho, a center; None where unset) fix."""
+    (of the game, a custom grid, an seu rho, a center; None where unset) fix,
+    or ``default`` when none of them fixes one."""
     menu = [E.n for E, _ in model.entries] if isinstance(model, FixedMenu) else []
-    counts = {k for k in (n, *widths, *menu) if k is not None}
+    counts = {k for k in (n, *widths, *menu) if k is not None} or {default}
     if len(counts) > 1:
         raise DimensionMismatch(
             f"n={n}; the game, priors, rho, center and menu experiments give {sorted(counts)}"
         )
-    if not counts:
+    if None in counts:
         raise ValueError("state count n required for a common-fine contract")
     return counts.pop()
 
@@ -187,10 +187,7 @@ def screens(
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 2 or not len(grid):
             raise ValueError("a custom grid is a nonempty stack of prior rows")
-        if not (
-            (grid >= -COORD_TOL).all() and (np.abs(grid.sum(axis=1) - 1.0) <= SUM_TOL).all()
-        ):
-            raise ValueError("custom grid rows must be probability vectors")
+        _distributions(grid, "custom grid row")
     n = _states(
         model, n, game.n, None if grid is None else grid.shape[1],
         rho.n if uninformed == "seu" else None,
@@ -232,7 +229,6 @@ class AssumptionCertificate:
     T: float
     center: Belief
     eta: float
-    resolution: int
 
 
 def _ball_options(model: CostModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +274,7 @@ def assumption_probe(
     worst, T = float(gain[best].min()), float(price[best].max())
     if worst <= 0.0 or not np.isfinite(T):
         return None
-    resolution = default_resolution(n) if resolution is None else resolution
-    return AssumptionCertificate(0.99 * worst, T, center, eta, resolution)
+    return AssumptionCertificate(0.99 * worst, T, center, eta)
 
 
 class Construction(NamedTuple):
@@ -331,8 +326,7 @@ def construct_screening_contract(
                 f"no plan improves by more than {epsilon:.6g} at cost <= {T:.6g}",
                 prior=Belief(ball[int(ok.argmin())]),
             )
-        resolution = default_resolution(n) if resolution is None else resolution
-        certificate = AssumptionCertificate(epsilon, T, center, eta, resolution)
+        certificate = AssumptionCertificate(epsilon, T, center, eta)
     else:
         certificate = assumption_probe(model, center=center, eta=eta, resolution=resolution)
         if certificate is None:
@@ -384,6 +378,7 @@ class XiScreenResult(NamedTuple):
     half_width: float
     informed_min: float
     samples: int
+    n: int
 
 
 def rejection_measure(contract: Contract, n: int | None = None) -> float:
@@ -405,7 +400,7 @@ def xi_screen_search(
     model: CostModel,
     xi: float,
     *,
-    n: int = 2,
+    n: int | None = None,
     resolution: int | None = None,
     samples: int = 100_000,
     seed: int = 0,
@@ -423,7 +418,7 @@ def xi_screen_search(
         raise ValueError("xi must lie in (0, 1]")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    n = _states(model, n)
+    n = _states(model, n, default=2)
     grid = simplex_grid_array(n, resolution)
     menu = isinstance(model, FixedMenu)
     scale = max((price for _, price in model.entries), default=0.0) + 1.0 if menu else model.kappa
@@ -439,7 +434,7 @@ def xi_screen_search(
         phat = int(np.count_nonzero(min_draw > u / d)) / samples
         half = _Z95 * float(np.sqrt(phat * (1.0 - phat) / samples))
         candidate = XiScreenResult(
-            Contract(float(u), float(d)), phat, half, u + worst_base, samples
+            Contract(float(u), float(d)), phat, half, u + worst_base, samples, n
         )
         if best is None or candidate.rejection > best.rejection:
             best = candidate

@@ -31,6 +31,21 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _distributions(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` when each of its rows (last axis) is a probability vector: no
+    coordinate below -COORD_TOL, and a sum within SUM_TOL of 1, else ValueError.
+    Both tests read not (x >= bound), so NaN or an infinity fails one of them."""
+    # Ufunc reductions: a belief or a plan holds a handful of coordinates,
+    # where the array methods' own overhead is most of the cost.
+    if not (low := np.minimum.reduce(arr, None)) >= -COORD_TOL:
+        raise ValueError(f"{what}: coordinate {float(low)!r} is not a nonnegative probability")
+    sums = np.add.reduce(arr, -1)
+    if not np.maximum.reduce(abs(sums - 1.0), None) <= SUM_TOL:
+        total = np.ravel(sums)[np.argmin(np.ravel(abs(sums - 1.0) <= SUM_TOL))]
+        raise ValueError(f"{what}: coordinates sum to {float(total)!r}, not 1")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Belief:
     """A point on the (n-1)-simplex: prior or posterior over n >= 2 states."""
@@ -41,12 +56,7 @@ class Belief:
         arr = _frozen_array(probs)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"belief needs >= 2 states, got shape {arr.shape}")
-        if arr.min() < -COORD_TOL:
-            raise ValueError(f"negative probability {arr.min()!r} in belief")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"belief coordinates sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _distributions(arr, "belief"))
 
     @property
     def n(self) -> int:
@@ -120,28 +130,17 @@ class PosteriorDistribution:
     prior: Belief
 
     def __init__(self, support, weights, prior: Belief):
-        """``support``: Beliefs, or a (k, n) array of their coordinates; the
-        stacked rows get Belief's checks together."""
-        rows = [getattr(b, "probs", b) for b in support]
-        if not rows:
+        """``support``: the (k, n) array of the support points' coordinates."""
+        rows = _frozen_array(support)
+        if not rows.size:
             raise EmptySupport("posterior distribution needs a nonempty support")
         w = _frozen_array(weights)
-        if w.size != len(rows):
+        if w.shape != rows.shape[:1]:
             raise ValueError("one weight per support point required")
-        # Ufunc reductions: a plan holds a handful of points, where the
-        # array methods' own overhead is most of the cost.
-        if (low := np.minimum.reduce(w)) < -COORD_TOL:
-            raise ValueError(f"negative weight {low!r}")
-        if abs((total := np.add.reduce(w)) - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        if any(np.shape(r) != prior.probs.shape for r in rows):
+        _distributions(w, "plan weights")
+        if rows.shape[1:] != prior.probs.shape:
             raise DimensionMismatch("support point dimension differs from prior")
-        rows = _frozen_array(rows)
-        if (low := np.minimum.reduce(rows, axis=None)) < -COORD_TOL:
-            raise ValueError(f"negative probability {low!r} in belief")
-        for total in np.add.reduce(rows, axis=1).tolist():
-            if abs(total - 1.0) > SUM_TOL:
-                raise ValueError(f"belief coordinates sum to {total!r}, not 1")
+        _distributions(rows, "support point")
         mean = w @ rows
         if np.maximum.reduce(np.abs(mean - prior.probs)) > SUM_TOL:
             raise ValueError(
@@ -167,7 +166,7 @@ class PosteriorDistribution:
 
 def degenerate(prior: Belief) -> PosteriorDistribution:
     """The no-learning plan: all mass on the prior itself."""
-    return PosteriorDistribution((prior,), [1.0], prior)
+    return PosteriorDistribution(prior.probs[None], [1.0], prior)
 
 
 def default_resolution(n: int) -> int:

@@ -32,16 +32,6 @@ class DecisionProblem:
     fines: Callable[[int], np.ndarray]
     n: int | None = None
 
-    def states(self, n: int | None = None) -> int:
-        """The state count to play on: the game's own, or n when it has none."""
-        if self.n is not None:
-            if n is not None and n != self.n:
-                raise ValueError(f"game fixes n={self.n}, got n={n}")
-            return self.n
-        if n is None:
-            raise ValueError("state count n required for a common-fine contract")
-        return n
-
     def value(self, belief: Belief) -> float:
         return float(self.u - (self.fines(belief.n) @ belief.probs).min())
 

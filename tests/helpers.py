@@ -71,7 +71,7 @@ def rejection_measure_mc(contract, n=None, *, samples=100_000, seed=0):
     beliefs that reject the contract, with a 95% normal-approximation
     half-width."""
     game = SimpleAnnouncement(contract)
-    draws = np.random.default_rng(seed).dirichlet(np.ones(game.states(n)), size=samples)
+    draws = np.random.default_rng(seed).dirichlet(np.ones(len(contract.fines(n))), size=samples)
     phat = float((game.batch(draws) < 0.0).mean())
     return phat, 1.96 * float(np.sqrt(phat * (1.0 - phat) / samples))
 

@@ -10,6 +10,7 @@ in milliseconds.
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 
@@ -43,7 +44,12 @@ def mostly(valid):
 
 small = st.one_of(st.floats(-0.5, 2.0), st.integers(-1, 4))
 positive = st.one_of(st.floats(0.01, 2.0), st.sampled_from([1e-300, 1e300]))
-probs = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+unit = st.floats(0.0, 1.0)
+# A coordinate in [0, 1] three times in four, else NaN or an infinity.
+probs = st.lists(
+    st.one_of(unit, unit, unit, st.sampled_from([math.nan, math.inf, -math.inf])),
+    min_size=1, max_size=4,
+)
 beliefs = st.one_of(probs, probs.map(lambda v: [x / sum(v) for x in v] if sum(v) > 0 else v))
 likelihoods = st.lists(beliefs, min_size=1, max_size=4)
 menu = st.lists(

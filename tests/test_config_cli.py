@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,12 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def process_env():
+    """The environment of a child ``python -m cavscreen.cli`` that imports this package."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def out(command, tmp_path):
@@ -87,7 +94,7 @@ class TestModelSection:
     def test_zero_kappa_means_free_learning(self):
         model = cost_model_from({"model": {"kappa": 0.0}})
         full = PosteriorDistribution(
-            support=[belief2(0.0), belief2(1.0)], weights=[0.5, 0.5], prior=belief2(0.5)
+            support=np.array([[0.0, 1.0], [1.0, 0.0]]), weights=[0.5, 0.5], prior=belief2(0.5)
         )
         assert distribution_cost(model, full) == 0.0
         assert distribution_cost(model, degenerate(belief2(0.3))) == 0.0
@@ -285,6 +292,19 @@ class TestXiScreenCommand:
         assert cli.main(["xi-screen", "--config", path]) == 0
         assert "target >= 0.9000" in capsys.readouterr().out
 
+    def test_menu_fixes_the_state_count(self, capsys, tmp_path):
+        # No n: the menu's three-state experiment fixes it, as it does for screen.
+        menu = (
+            "model:\n  kind: fixed-menu\n  menu:\n    - price: 0.01\n      likelihoods:\n"
+            "        - [0.8, 0.2]\n        - [0.5, 0.5]\n        - [0.2, 0.8]\n"
+        )
+        path = write(tmp_path, "menu3.yaml", menu + "xi: 0.9\nresolution: 20\n")
+        assert cli.main(["xi-screen", "--config", path]) == 0
+        text = capsys.readouterr().out
+        u, d = map(float, re.search(r"u=(\S+) d=(\S+)", text).groups())
+        mass = float(re.search(r"analytic rejection mass: (\S+)", text).group(1))
+        assert mass == pytest.approx((1.0 - 3.0 * u / d) ** 2, abs=1e-5)
+
     def test_default_model_search(self, capsys, tmp_path):
         path = write(tmp_path, "xi.yaml", "xi: 0.5\n")
         code = cli.main(["xi-screen", "--config", path])
@@ -352,13 +372,29 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv", [[], ["screen", "--bogus"]], ids=["no-command", "unknown-flag"])
     def test_rejected_command_lines_exit_3_from_the_process(self, argv):
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run(
-            [sys.executable, "-m", "cavscreen.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "cavscreen.cli", *argv], capture_output=True, text=True,
+            env=process_env(),
         )
         assert run.returncode == 3
         assert run.stderr.startswith("config error: ") and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["screen", "--config", str(CONFIG_DIR / "shannon_window.yaml")],
+        ["figure", "--out", "{tmp}"],
+    ], ids=["screen", "figure"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, argv):
+        # The reader end is closed before the command prints, so its first
+        # write to stdout meets a broken pipe.
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cavscreen.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                stdout=subprocess.PIPE, stderr=err, env=process_env(),
+            )
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            err.seek(0)
+            assert err.read() == b""
 
     @pytest.mark.parametrize("command", [None, *OPTIONS])
     def test_help_exits_0(self, capsys, command):
@@ -427,6 +463,16 @@ class TestErrorPaths:
                 id="search-center-off-the-state-count",
             ),
             pytest.param("screen", ENTROPY_SCREEN + "n: 2\nuninformed: seu\n", id="seu-without-rho"),
+            pytest.param(
+                "screen", ENTROPY_SCREEN + "rho: [.nan, 1.0]\nuninformed: seu\n", id="rho-nan"
+            ),
+            pytest.param("screen", ENTROPY_SCREEN + "ball:\n  center: [.nan, 1.0]\n", id="ball-nan"),
+            pytest.param(
+                "screen",
+                "model:\n  kind: fixed-menu\n  menu:\n    - price: 0.1\n      likelihoods:\n"
+                "        - [.nan, 1.0]\n        - [0.5, 0.5]\ncontract:\n  u: 0.2\n  d: 1.0\n",
+                id="menu-likelihood-nan",
+            ),
             pytest.param("xi-screen", "xi: lots\n", id="xi-not-a-number"),
             pytest.param("xi-screen", "xi: 1.5\n", id="xi-above-one"),
             pytest.param("prop2", "rho: [0.25, 0.75]\nd_last: heavy\n", id="d-last-not-a-number"),

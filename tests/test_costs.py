@@ -32,7 +32,7 @@ from helpers import garble, shifted
 def full_revelation(prior):
     n = prior.n
     return PosteriorDistribution(
-        support=[Belief(e) for e in np.eye(n)], weights=prior.probs, prior=prior
+        support=np.eye(n), weights=prior.probs, prior=prior
     )
 
 
@@ -41,7 +41,7 @@ def random_plan(rng, n, k):
     weights = rng.dirichlet(np.ones(k))
     prior = Belief(weights @ support)
     return PosteriorDistribution(
-        support=[Belief(x) for x in support], weights=weights, prior=prior
+        support=support, weights=weights, prior=prior
     )
 
 

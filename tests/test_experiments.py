@@ -1,5 +1,7 @@
 """Experiments, Bayes updating, and the learning-benefit functional."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,9 @@ class TestExperimentType:
             Experiment([[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError):
             Experiment([[1.1, -0.1], [0.5, 0.5]])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Experiment([[bad, 1.0], [0.5, 0.5]])
 
     def test_null_and_full_info(self):
         E = null_experiment(3)

@@ -542,6 +542,16 @@ class TestXiScreen:
         found = xi_screen_search(model, 1.0, n=2, samples=2_000, seed=5)
         assert found.informed_min >= 0.0
 
+    def test_state_count_from_the_menu_else_two(self):
+        # A menu of three-state experiments fixes n = 3; a model that fixes
+        # nothing searches on two states, and names the count it used.
+        menu = FixedMenu(((fully_informative(3), 0.01),))
+        assert xi_screen_search(menu, 0.9, resolution=12, samples=500).n == 3
+        with pytest.raises(DimensionMismatch):
+            xi_screen_search(menu, 0.9, n=2, resolution=12, samples=500)
+        model = PosteriorSeparable(0.01, neg_entropy())
+        assert xi_screen_search(model, 0.9, resolution=12, samples=500).n == 2
+
     def test_xi_zero_rejected(self):
         with pytest.raises(ValueError):
             xi_screen_search(PosteriorSeparable(0.01, neg_entropy()), 0.0)

@@ -49,6 +49,13 @@ class TestBelief:
         with pytest.raises(ValueError):
             Belief((0.5, 0.6))
 
+    @pytest.mark.parametrize(
+        "probs", [(math.nan, 1.0), (math.inf, -math.inf), (0.5, math.nan), (math.inf, 1.0)]
+    )
+    def test_rejects_nan_and_infinite_coordinates(self, probs):
+        with pytest.raises(ValueError):
+            Belief(probs)
+
     def test_tiny_negative_rounding_is_tolerated(self):
         b = Belief((1.0 + 1e-13, -1e-13))
         assert b.probs.min() >= -1e-12
@@ -110,7 +117,7 @@ class TestBarycenter:
 
     def test_symmetric_binary_split(self):
         F = PosteriorDistribution(
-            support=[belief2(0.0), belief2(1.0)],
+            support=np.array([[0.0, 1.0], [1.0, 0.0]]),
             weights=[0.5, 0.5],
             prior=belief2(0.5),
         )
@@ -119,7 +126,7 @@ class TestBarycenter:
     def test_asymmetric_split(self):
         # 2/3 * 1/4 + 1/3 * 1 = 1/2
         F = PosteriorDistribution(
-            support=[Belief((0.25, 0.75)), Belief((1.0, 0.0))],
+            support=np.array([[0.25, 0.75], [1.0, 0.0]]),
             weights=[2.0 / 3.0, 1.0 / 3.0],
             prior=belief2(0.5),
         )
@@ -132,7 +139,7 @@ class TestBarycenter:
     def test_bayes_plausibility_enforced(self):
         with pytest.raises(ValueError):
             PosteriorDistribution(
-                support=[belief2(0.0), belief2(1.0)],
+                support=np.array([[0.0, 1.0], [1.0, 0.0]]),
                 weights=[0.5, 0.5],
                 prior=belief2(0.7),
             )
@@ -151,6 +158,13 @@ class TestBarycenter:
         ):
             with pytest.raises(ValueError, match=error):
                 PosteriorDistribution(np.array(bad), [0.5, 0.5], belief2(0.5))
+        for rows, weights in (
+            ([[0.0, 1.0], [1.0, 0.0]], [math.nan, 0.5]),
+            ([[math.nan, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+            ([[0.0, 1.0], [1.0, 0.0]], [math.inf, -math.inf]),
+        ):
+            with pytest.raises(ValueError):
+                PosteriorDistribution(np.array(rows), weights, belief2(0.5))
         with pytest.raises(DimensionMismatch):
             PosteriorDistribution(np.array([[0.2, 0.3, 0.5]]), [1.0], belief2(0.5))
         with pytest.raises(EmptySupport):
@@ -164,9 +178,9 @@ class TestBarycenter:
     @settings(max_examples=50, deadline=None)
     def test_barycenter_is_identity_on_prior(self, n, k, seed):
         rng = np.random.default_rng(seed)
-        support = [Belief(x) for x in rng.dirichlet(np.ones(n), size=k)]
+        support = rng.dirichlet(np.ones(n), size=k)
         weights = rng.dirichlet(np.ones(k))
-        prior = Belief(weights @ np.array([b.probs for b in support]))
+        prior = Belief(weights @ support)
         F = PosteriorDistribution(support=support, weights=weights, prior=prior)
         np.testing.assert_allclose(barycenter(F).probs, prior.probs, atol=1e-9)
 

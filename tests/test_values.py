@@ -148,17 +148,3 @@ class TestBatchFold:
         game = UrnDraw(Contract(0.0485, 0.1))
         for pts in fold_stacks(3).values():
             assert_same_bits(game.batch(pts), row_minimum_batch(game, pts))
-
-
-class TestStates:
-    def test_game_fixes_its_state_count(self):
-        assert UrnDraw(Contract(1.0, 1.0)).states() == 3
-        assert SimpleAnnouncement(Contract(1.0, (1.0, 2.0))).states(2) == 2
-        with pytest.raises(ValueError):
-            UrnDraw(Contract(1.0, 1.0)).states(4)
-
-    def test_common_fine_needs_a_count(self):
-        game = SimpleAnnouncement(Contract(1.0, 1.0))
-        assert game.states(5) == 5
-        with pytest.raises(ValueError):
-            game.states()
