@@ -207,7 +207,7 @@ def criterion_envelope_oracles() -> tuple[bool, str]:
         if spread > 1e-6:
             return False, f"values disagree by {spread:.3g} at mu={mu:.6g}"
         for plan, v in ((plan1, v1), (plan2, v2)):
-            support_x = np.array([b[0] for b in plan.support])
+            support_x = plan.support_matrix[:, 0]
             drift = abs(float(plan.weights @ support_x) - mu)
             if drift > 1e-9:
                 return False, f"plan barycenter off by {drift:.3g} at mu={mu:.6g}"
@@ -230,7 +230,7 @@ def criterion_kink_avoidance() -> tuple[bool, str]:
     cases.append((model_one, design_binary_contract(model_one)))
     for model, contract in cases:
         plan = informed_value(model, SimpleAnnouncement(contract), half).plan
-        xs = sorted(b[0] for b in plan.support)
+        xs = sorted(plan.support_matrix[:, 0])
         if len(xs) != 2:
             bad.append(f"kappa={model.kappa:g}: {len(xs)} support points")
         elif xs[1] - xs[0] < 10.0 / resolution:
@@ -244,10 +244,10 @@ def criterion_kink_avoidance() -> tuple[bool, str]:
         if plan.is_degenerate():
             bad.append(f"urn prior {probs}: learning degenerate")
             continue
-        for b in plan.support:
+        for b in plan.support_matrix:
             gap = abs(b[0] - b[2]) / np.sqrt(2.0)
             if gap <= 2.0 / urn_res:
-                bad.append(f"urn prior {probs}: support {tuple(b)} near the fold")
+                bad.append(f"urn prior {probs}: support {tuple(b.tolist())} near the fold")
     if bad:
         return False, "; ".join(bad)
     return True, "binary splits clear the fold by >= 10/1000; urn supports stay off x=y"

@@ -109,7 +109,7 @@ def _cmd_figure(args) -> int:
         how = (
             "stays put"
             if plan.is_degenerate()
-            else "splits onto " + ", ".join(f"{b[0]:.4g}" for b in plan.support)
+            else "splits onto " + ", ".join(f"{x:.4g}" for x in plan.support_matrix[:, 0])
         )
         print(f"prior {p:g}: value {traces.values[k]:.6g}, {how}")
     regions = learning_regions(traces)

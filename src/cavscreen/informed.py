@@ -114,7 +114,7 @@ def informed_value(
         value = float(solution.values[0])
         if solution.stay[0]:
             return InformedResult(value, degenerate(mu), 0.0)
-        plan = _prune_plan(*shannon.posteriors(P, model.kappa, mu.probs, solution.weights[0]), mu)
+        plan = _prune_plan(*shannon.posteriors(solution, 0, mu.probs), mu)
     else:
         value, plan = _at_prior(model, game, mu)
     if plan.is_degenerate():

@@ -22,15 +22,16 @@ is separable up to sum p = 1.  Its KKT conditions give, for a multiplier lambda,
 
     p_i = max(0, 1 / beta_i - mu_i / lambda),   (E^T p)_i = min(1, mu_i beta_i / lambda),
 
-so the actions in use are those with mu_i beta_i < lambda: a prefix of the
-states sorted by mu_i beta_i.  On the prefix of length m, sum p = 1 gives
+so the actions in use are the states of least mu_i beta_i.  On the prefix
+of state j, the states k with mu_k beta_k <= mu_j beta_j, sum p = 1 gives
 
-    lambda_m = sum_{k <= m} mu_k / (sum_{k <= m} 1 / beta_k - 1),
+    lambda_j = sum_k mu_k / (sum_k 1 / beta_k - 1),
 
-and the condition mu_m beta_m < lambda_m holds for every m up to the
-active count and for none beyond it, so the prefix is the longest one that
-meets it: a water-fill, the shape of a Euclidean projection onto the
-simplex (Duchi et al. 2008).  The fill and its certificate
+and along the order each prefix's lambda is a mediant of the last one's and
+the added mu_j beta_j, so it falls while the added states are in use and
+rises after: the active prefix is the one of least lambda (tied states enter
+together), a water-fill shaped like a Euclidean projection onto the simplex
+(Duchi et al. 2008).  The fill and its certificate
 c_a = sum_i mu_i / s_i - beta_a mu_a / s_a are priced from beta, but
 s = E^T p is summed term by term, as Newton sums it: 1 - beta_i p_i would
 cancel for a state whose own weight is near 1.  The least of these values
@@ -38,6 +39,12 @@ over every prior is closed-form too (``rule_out_minimum``).  Every other
 game, and every closed-form row whose certificate fails to rounding, goes to
 a log-barrier Newton method on p over the stack of remaining priors, which
 stops each prior once its bound holds.  A prior it cannot certify raises.
+
+Inside, stacks are state-major: priors (n, B) and weights (A, B), B = 1 as
+(n, 1), so a reduction over states or actions is a pass over whole rows
+(numpy reduces a short last axis one row at a time), summed in index order
+at any B, and the prefixes come from the (n, n, B) comparison of mu beta,
+with no sort.  ``solve`` takes (B, n) priors and returns (B, A) weights.
 """
 
 from __future__ import annotations
@@ -76,49 +83,50 @@ class ShannonSolution(NamedTuple):
     weights: np.ndarray  # (B, A) action weights p
     stay: np.ndarray  # (B,) True where the announce action alone is certified
     steps: np.ndarray  # (B,) Newton steps taken, 0 for stay and closed-form rows
+    E: np.ndarray | None  # (A, n) shifted exp(P / kappa); None where every prior stays
+    s: np.ndarray  # (B, n) the certified E^T p at each learning prior, NaN where it stays
 
 
-def _mix(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M for a stack of rows x, summed term by term in a fixed order, so
-    a row rounds the same in a batch of any size (a BLAS product may not)."""
-    out = x[:, :1] * M[0]
+def _total(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order: numpy adds 8 or more terms on
+    a contiguous axis, as in a (k, 1) stack, pairwise; below 8 both agree."""
+    return x.sum(axis=0) if len(x) < 8 else functools.reduce(np.add, x)
+
+
+def _mix(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M^T x for a stack x of columns, summed term by term in a fixed order, so
+    a column rounds the same in a batch of any size (a BLAS product may not)."""
+    out = M[0][:, None] * x[0]
     for k in range(1, M.shape[0]):
-        out += x[:, k : k + 1] * M[k]
+        out += M[k][:, None] * x[k]
     return out
 
 
 def _barrier(E, mu, p, t) -> tuple[np.ndarray, np.ndarray]:
-    """(E^T p) rows and the barrier objective sum mu log E^T p + t sum log p."""
-    s = _mix(p, E)
-    return s, (mu * np.log(s)).sum(axis=1) + t * np.log(p).sum(axis=1)
+    """E^T p columns and the barrier objective sum mu log E^T p + t sum log p."""
+    s = _mix(E, p)
+    return s, _total(mu * np.log(s)) + t * _total(np.log(p))
 
 
-def _water_fill(E, top, beta, kappa: float, mu: np.ndarray, tol: float):
-    """Closed-form values and action weights of a rule-out game at each
-    prior row, with a mask of the rows whose certificate holds."""
-    # Rows the formula cannot price (a zero in the prefix mass) come out
-    # non-finite and fail the certificate.
+def _water_fill(E, beta, mu: np.ndarray, tol: float):
+    """Closed-form action weights and E^T p of a rule-out game at each prior
+    column, with a mask of the columns whose certificate holds."""
+    # j's prefix holds the states k with mu_k beta_k <= mu_j beta_j; the active
+    # one has the least lambda = mass / excess.  Columns with a zero mass come
+    # out non-finite and fail the certificate.
     with np.errstate(all="ignore"):
-        # mu_m beta_m < lambda_m, multiplied through by the prefix's
-        # sum 1 / beta - 1 >= 0, on each prefix of the states sorted by
-        # mu beta; the active set is the longest prefix that meets it.
-        a, spread = mu * beta, 1.0 / beta
-        order = np.argsort(a, axis=1)
-        rows = np.arange(len(mu))[:, None]
-        mass = np.cumsum(mu[rows, order], axis=1)
-        excess = np.cumsum(spread[order], axis=1) - 1.0
-        meets = mass > a[rows, order] * excess
-        last = np.maximum(meets.sum(axis=1), 1) - 1
-        # 1 / lambda for the active prefix.
-        inv = (excess / mass)[rows[:, 0], last]
-        p = np.maximum(0.0, spread - mu * inv[:, None])
-        p /= p.sum(axis=1, keepdims=True)
-        s = _mix(p, E)
+        key, spread = mu * beta[:, None], 1.0 / beta
+        prefix = key[:, None] <= key[None]
+        mass = _total(prefix * mu[:, None])
+        excess = _total(prefix * spread[:, None, None]) - 1.0
+        inv = (excess / mass).max(axis=0)
+        p = np.maximum(0.0, spread[:, None] - mu * inv)
+        p /= _total(p)
+        s = _mix(E, p)
         ratio = mu / s
-        c = ratio.sum(axis=1, keepdims=True) - beta * ratio
-        values = ((top + kappa * np.log(s)) * mu).sum(axis=1)
-        certified = functools.reduce(np.maximum, c.T) - 1.0 <= tol
-    return values, p, certified
+        c = _total(ratio) - beta[:, None] * ratio
+        certified = c.max(axis=0) - 1.0 <= tol
+    return p, s, certified
 
 
 def rule_out_minimum(fines, kappa: float) -> tuple[float, np.ndarray]:
@@ -142,116 +150,108 @@ def rule_out_minimum(fines, kappa: float) -> tuple[float, np.ndarray]:
     return float(kappa * np.log1p(-t.min() / kappa / total)), ratio / total
 
 
-def _newton(E, top, kappa: float, mu: np.ndarray, tol: float):
-    """Values, action weights and Newton steps taken at each prior row, by
-    the log-barrier Newton method; raises where a row is not certified
-    within _NEWTON_CAP steps."""
-    B, A = mu.shape[0], E.shape[0]
-    values, weights, steps = np.zeros(B), np.zeros((B, A)), np.zeros(B, dtype=int)
+def _newton(E, mu: np.ndarray, tol: float):
+    """Action weights, E^T p and Newton steps taken at each prior column, by
+    the log-barrier Newton method; raises where one is not certified."""
+    (n, B), A = mu.shape, E.shape[0]
+    weights, shares, steps = np.zeros((A, B)), np.zeros((n, B)), np.zeros(B, dtype=int)
     outer = (E.T[:, :, None] * E.T[:, None, :]).reshape(-1, A * A)
-    rows = np.arange(B)
-    p = np.full((B, A), 1.0 / A)
-    t = np.full(B, _T0)
+    cols, p, t = np.arange(B), np.full((A, B), 1.0 / A), np.full(B, _T0)
     # On the central path c_a = 1 + t A - t / p_a, so t <= tol / A certifies.
     floor = 0.5 * tol / A
     for taken in range(_NEWTON_CAP + 1):
         s, phi = _barrier(E, mu, p, t)
         ratio = mu / s
-        c = _mix(ratio, E.T)
-        done = c.max(axis=1) - 1.0 <= tol
+        c = _mix(E.T, ratio)
+        done = c.max(axis=0) - 1.0 <= tol
         if done.any():
-            hit = rows[done]
-            values[hit] = ((top + kappa * np.log(s[done])) * mu[done]).sum(axis=1)
-            weights[hit] = p[done]
-            steps[hit] = taken
+            hit = cols[done]
+            weights[:, hit], shares[:, hit], steps[hit] = p[:, done], s[:, done], taken
             keep = ~done
-            rows, mu, p, t, s, phi, ratio, c = (
-                x[keep] for x in (rows, mu, p, t, s, phi, ratio, c)
-            )
-        if not len(rows):
+            cols, mu, p, t, s, phi, ratio, c = (
+                x.compress(keep, axis=-1) for x in (cols, mu, p, t, s, phi, ratio, c))
+        if not len(cols):
             break
         # Newton step on the simplex: S = -Hessian, and the multiplier of
         # sum p = 1 comes from S^-1 g and S^-1 1 (the Schur complement).
-        g = c + t[:, None] / p
-        S = _mix(ratio / s, outer).reshape(-1, A, A)
-        S[:, np.arange(A), np.arange(A)] += t[:, None] / p**2
-        sol = np.linalg.solve(S, np.stack([g, np.ones_like(g)], axis=2))
-        nu = sol[..., 0].sum(axis=1) / sol[..., 1].sum(axis=1)
-        step = sol[..., 0] - nu[:, None] * sol[..., 1]
-        decrement = (step * g).sum(axis=1)
+        g = c + t / p
+        S = _mix(outer, ratio / s)
+        S[:: A + 1] += t / p**2
+        rhs = np.stack([g.T, np.ones_like(g.T)], axis=2)
+        sol, unit = np.linalg.solve(S.T.reshape(-1, A, A), rhs).transpose(2, 1, 0)
+        nu = _total(sol) / _total(unit)
+        step = sol - nu * unit
+        decrement = _total(step * g)
         # Largest step keeping p > 0, then backtracking on the barrier objective.
         with np.errstate(divide="ignore"):
-            reach = np.where(step < 0.0, -p / step, np.inf).min(axis=1)
+            reach = np.where(step < 0.0, -p / step, np.inf).min(axis=0)
         alpha = np.minimum(1.0, 0.95 * reach)
         trust = decrement <= _QUADRATIC * (1.0 + np.abs(phi))
         for _ in range(_HALVINGS):
-            _, trial = _barrier(E, mu, p + alpha[:, None] * step, t)
+            _, trial = _barrier(E, mu, p + alpha * step, t)
             bad = ~trust & (trial < phi + _ARMIJO * alpha * decrement)
             if not bad.any():
                 break
             alpha = np.where(bad, 0.5 * alpha, alpha)
-        p = p + alpha[:, None] * step
-        p /= p.sum(axis=1, keepdims=True)
+        p = p + alpha * step
+        p /= _total(p)
         t = np.where(decrement < _CENTERED * t, np.maximum(_SHRINK * t, floor), t)
     else:
-        raise NotCertified(
-            f"{len(rows)} priors not certified within {_NEWTON_CAP} Newton steps, "
-            f"first {mu[0].tolist()}"
-        )
-    return values, weights, steps
+        raise NotCertified(f"{len(cols)} priors not certified within {_NEWTON_CAP} Newton "
+                           f"steps, first {mu[:, 0].tolist()}")
+    return weights, shares, steps
 
 
 def solve(P, kappa: float, priors) -> ShannonSolution:
-    """Informed value of the game with payoff matrix P (actions x states) at
-    each prior row, under the Shannon cost with weight kappa: staying put
-    where that is certified, else the closed form for rule-out games, else
-    Newton."""
+    """Informed value of the game with payoff matrix P (actions x states) at each
+    prior row, under the Shannon cost with weight kappa: staying put where that
+    is certified, else the closed form for rule-out games, else Newton."""
     P = np.asarray(P, dtype=float)
-    priors = np.asarray(priors, dtype=float)
-    B, A = len(priors), P.shape[0]
+    mu = np.ascontiguousarray(np.asarray(priors, dtype=float).T)
+    (n, B), A = mu.shape, P.shape[0]
     # kappa * (max c - 1) <= _GAP (1 + max|P|), in units of kappa.
     tol = _GAP * (1.0 + np.abs(P).max()) / kappa + _ROUNDING
-    stay_pay = _mix(priors, P.T)
-    announce = stay_pay.argmax(axis=1)
-    here = np.arange(B), announce
+    stay_pay = _mix(P.T, mu)
+    announce = stay_pay.argmax(axis=0)
+    here = announce, np.arange(B)
     # Shift each state's payoffs by their maximum so E stays in (0, 1].
     top = P.max(axis=0)
     # Staying put is certified when every action's slope at the announce
     # action's unit weight, sum_i mu_i exp((P_ai - P_a*i) / kappa), is <= 1.  In a
     # rule-out game (P = top exactly off the diagonal, below it on it) a differs
     # from a* in states a and a* alone, so the steepest a has the least mu_a beta_a.
-    rule_out = A == P.shape[1] and ((P == top) != np.eye(A, dtype=bool)).all()
+    rule_out = A == n and ((P == top) != np.eye(A, dtype=bool)).all()
     if rule_out:
         x = (np.diag(P) - top) / kappa
         beta, rise = -np.expm1(x), np.expm1(np.minimum(-x, 700.0))
-        drop = priors * beta
+        drop = mu * beta[:, None]
         drop[here] = np.inf
-        stay = priors[here] * rise[announce] - functools.reduce(np.minimum, drop.T) <= tol
+        stay = mu[here] * rise[announce] - drop.min(axis=0) <= tol
     else:
-        rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
-        stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol
-    values, weights = stay_pay[here], np.zeros((B, A))
+        rise = np.expm1(np.minimum((P.T[:, :, None] - P[announce].T[:, None]) / kappa, 700.0))
+        stay = _total(mu[:, None] * rise).max(axis=0) <= tol
+    values, weights = stay_pay[here], np.zeros((A, B))
     weights[here] = 1.0
-    steps = np.zeros(B, dtype=int)
-    rows = np.flatnonzero(~stay)
-    if len(rows):
+    steps, E, s = np.zeros(B, dtype=int), None, np.full((n, B), np.nan)
+    cols = np.flatnonzero(~stay)
+    if len(cols):
         E = np.exp((P - top) / kappa)
-        if rule_out:
-            closed, p, certified = _water_fill(E, top, beta, kappa, priors[rows], tol)
-            hit = rows[certified]
-            values[hit], weights[hit], rows = closed[certified], p[certified], rows[~certified]
-    if len(rows):
-        values[rows], weights[rows], steps[rows] = _newton(E, top, kappa, priors[rows], tol)
-    return ShannonSolution(values, weights, stay, steps)
+        if rule_out:  # Newton overwrites the columns whose certificate fails
+            fill = _water_fill(E, beta, mu.take(cols, axis=1), tol)
+            weights[:, cols], s[:, cols], certified = fill
+            cols = cols[~certified]
+        if len(cols):
+            weights[:, cols], s[:, cols], steps[cols] = _newton(E, mu.take(cols, axis=1), tol)
+        # NaN in the stay columns, which keep their stay values.
+        values = np.where(stay, values, _total((top[:, None] + kappa * np.log(s)) * mu))
+    return ShannonSolution(values, weights.T, stay, steps, E, s.T)
 
 
-def posteriors(P, kappa: float, mu: np.ndarray, p: np.ndarray):
-    """The plan read off action weights p at prior mu: one posterior per
-    action in use, x_a proportional to mu * E_a / (E^T p), with weight
-    p_a c_a (p_a at the optimum).  Bayes-plausible by construction."""
-    P = np.asarray(P, dtype=float)
-    E = np.exp((P - P.max(axis=0)) / kappa)
-    joint = p[:, None] * mu * E / (p @ E)
+def posteriors(solution: ShannonSolution, row: int, mu: np.ndarray):
+    """The plan read off a learning row of a solution: one posterior per action
+    in use, x_a proportional to mu * E_a / s with the certified s = E^T p, and
+    weight p_a c_a (p_a at the optimum).  Bayes-plausible by construction."""
+    joint = solution.weights[row][:, None] * mu * solution.E / solution.s[row]
     w = joint.sum(axis=1)
     used = w > 0.0
     return joint[used] / w[used, None], w[used]

@@ -90,7 +90,7 @@ def stay_oracle(P, kappa: float, priors) -> tuple[np.ndarray, np.ndarray]:
     (priors, actions, states) tensor, is within the solver's tolerance."""
     P, priors = np.asarray(P, dtype=float), np.asarray(priors, dtype=float)
     tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
-    stay_pay = shannon._mix(priors, P.T)
+    stay_pay = shannon._mix(P.T, priors.T).T
     announce = stay_pay.argmax(axis=1)
     rise = np.expm1(np.minimum((P[None] - P[announce][:, None, :]) / kappa, 700.0))
     stay = (priors[:, None, :] * rise).sum(axis=2).max(axis=1) <= tol

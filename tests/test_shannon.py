@@ -31,7 +31,7 @@ from cavscreen import (
     simplex_grid_array,
 )
 from cavscreen import shannon
-from helpers import shifted, stay_oracle
+from helpers import assert_same_bits, fold_stacks, shifted, stay_oracle
 
 KAPPAS = (1e-3, 0.3)
 # Lattice resolutions for the grid routes, small enough for a quick hull.
@@ -126,8 +126,8 @@ def test_certificate_holds(n, kind, kappa):
 
 def newton_only(monkeypatch):
     """Make the closed form certify no row, so every row goes to Newton."""
-    def nothing(E, top, beta, kappa, mu, tol):
-        return np.zeros(len(mu)), np.zeros((len(mu), len(beta))), np.zeros(len(mu), dtype=bool)
+    def nothing(E, beta, mu, tol):
+        return np.zeros((len(beta), mu.shape[1])), np.zeros(mu.shape), np.zeros(mu.shape[1], dtype=bool)
 
     monkeypatch.setattr(shannon, "_water_fill", nothing)
 
@@ -172,7 +172,7 @@ def test_rule_out_stay_test_matches_the_tensor_oracle(n, kind):
         tol = shannon._GAP * (1.0 + np.abs(P).max()) / kappa + shannon._ROUNDING
         top = P.max(axis=0)
         E, beta = np.exp((P - top) / kappa), -np.expm1((np.diag(P) - top) / kappa)
-        uncertified += (~shannon._water_fill(E, top, beta, kappa, mu[stay], tol)[2]).sum()
+        uncertified += (~shannon._water_fill(E, beta, mu[stay].T, tol)[2]).sum()
     assert uncertified > 0
 
 
@@ -192,6 +192,29 @@ def test_steps_are_zero_on_a_rule_out_lattice_and_count_newton_elsewhere():
     assert (shannon.solve(payoffs(games(4)["rule-out"], 4), 0.3, lattice).steps == 0).all()
     solution = shannon.solve(payoffs(games(4)["hand-built"], 4), 0.3, lattice)
     assert (solution.steps[solution.stay] == 0).all() and solution.steps.max() > 0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("kind", ("rule-out", "per-state", "hand-built"))
+@pytest.mark.parametrize("kappa", (1e-3, 0.05))
+def test_a_stack_solves_each_prior_as_it_solves_it_alone(n, kind, kappa):
+    # Every finite fold stack, one row and no rows included.  The priors solved
+    # alone are spread over the stack and take up to 12 of its Newton rows.
+    P, newton = payoffs(games(n)[kind], n), 0
+    for name, stack in fold_stacks(n).items():
+        if name == "nan rows":
+            continue
+        whole = shannon.solve(P, kappa, stack)
+        newton += (whole.steps > 0).sum()
+        spread = np.linspace(0, len(stack) - 1, min(len(stack), 12)).astype(int)
+        for i in np.union1d(spread, np.flatnonzero(whole.steps > 0)[:12]):
+            alone = shannon.solve(P, kappa, stack[i : i + 1])
+            assert_same_bits(alone.values, whole.values[i : i + 1])
+            assert_same_bits(alone.weights, whole.weights[i : i + 1])
+            np.testing.assert_array_equal(alone.stay, whole.stay[i : i + 1])
+            np.testing.assert_array_equal(alone.steps, whole.steps[i : i + 1])
+    # The two-state hand-built game stays put at every prior of these stacks.
+    assert newton > 0 or (kind, n) == ("hand-built", 2)
 
 
 @pytest.mark.parametrize("n, kind, kappa", CASES)

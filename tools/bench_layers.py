@@ -76,14 +76,25 @@ def _prop2(c):
                    c.simplex_grid_array(4, 24))
 
 
+def _prop2_verdict(c):
+    """The ``screens`` verdict of simplex-sweep's median operation: Proposition-2
+    fines on the r = 24 lattice, against the seu type holding the fines' belief."""
+    u, rho = 0.999 * RHO4[-1], c.Belief(RHO4)
+    return partial(c.screens, c.PosteriorSeparable(u / (2.0 * np.log(4)), c.neg_entropy()),
+                   c.prop2_contract(rho, u, 1.0), 4, resolution=24, uninformed="seu", rho=rho)
+
+
 def _plan(c):
-    """The plan ``informed_value`` reads off one n = 4 prior's Shannon weights,
+    """The plan ``informed_value`` reads off one n = 4 prior's Shannon solution,
     pruned and checked, and its learning cost."""
     u, d, kappa, _ = RULE_OUT
     P, mu, model = u - d * np.eye(4), c.Belief(P4), c.PosteriorSeparable(kappa, c.neg_entropy())
-    p = c.shannon.solve(P, kappa, mu.probs[None]).weights[0]
-    return lambda: c.distribution_cost(
-        model, c.envelopes._prune_plan(*c.shannon.posteriors(P, kappa, mu.probs, p), mu))
+    solution = c.shannon.solve(P, kappa, mu.probs[None])
+    if hasattr(solution, "s"):  # the solution holds E and E^T p
+        read = partial(c.shannon.posteriors, solution, 0, mu.probs)
+    else:  # older trees rebuild them from P and the weights
+        read = partial(c.shannon.posteriors, P, kappa, mu.probs, solution.weights[0])
+    return lambda: c.distribution_cost(model, c.envelopes._prune_plan(*read(), mu))
 
 
 def _traces(c):
@@ -116,6 +127,9 @@ ROWS = (
     ("shannon.solve, lattice r = 200", 3, 20301, 30, _shannon(3, 200)),
     ("shannon.solve, lattice r = 24, prop2 fines", 4, 2925, 200, _prop2),
     ("Shannon plan read-off and its cost, one prior", 4, 1, 2000, _plan),
+    ("screens, prop2 fines, seu, lattice r = 24", 4, 2925, 100, _prop2_verdict),
+    ("simplex_grid_array, r = 24", 4, 2925, 300,
+     lambda c: partial(c.simplex_grid_array, 4, 24)),
     ("csv: figure_table + write_csv", 2, 1001, 200,
      lambda c: partial(lambda t: c.write_csv("t.csv", *c.figure_table(t)), _traces(c))),
     ("svg: write_svg", 2, 1001, 200, _svg),
